@@ -73,6 +73,8 @@ def _build_loss(doc, path: str) -> losses.LossKind:
     kernel = None
     if "kernel" in doc:
         kdoc = doc["kernel"]
+        if not isinstance(kdoc, dict):
+            raise ConfigError(f"{path}.kernel: expected an object")
         try:
             kernel = losses.Kernel(
                 family=_require(kdoc, "family", f"{path}.kernel"),
@@ -125,10 +127,13 @@ class RunPlan:
         if not outdir:
             raise ConfigError("config.output_dir: missing (or pass --output-dir)")
         self.output_dir = str(outdir)
+        sweep = doc.get("sweep", {})
+        if not isinstance(sweep, dict):
+            raise ConfigError("config.sweep: expected an object")
         self.sweep = {
-            "embedding_dims": _int_list(doc.get("sweep", {}), "embedding_dims", "config.sweep", [1]),
-            "batch_sizes": _int_list(doc.get("sweep", {}), "batch_sizes", "config.sweep", [64]),
-            "sample_sizes": _int_list(doc.get("sweep", {}), "sample_sizes", "config.sweep", [2000]),
+            "embedding_dims": _int_list(sweep, "embedding_dims", "config.sweep", [1]),
+            "batch_sizes": _int_list(sweep, "batch_sizes", "config.sweep", [64]),
+            "sample_sizes": _int_list(sweep, "sample_sizes", "config.sweep", [2000]),
         }
 
         gdoc = doc.get("gaussian", {"c_uu": [[1.5]], "c_uv": [[1.0]], "c_vv": [[1.5]]})

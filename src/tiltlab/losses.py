@@ -4,6 +4,19 @@ Index convention throughout: s[i][j] is the tilting score of (u^i, v^j), so
 column i collects every u candidate for the conditioning sample v^i and row
 i collects every v candidate for u^i.
 
+Two paths compute the softmax-family losses (clip, cond, joint), and both
+call the one value formula per loss (_clip_value, _cond_value,
+_joint_value):
+  score_step           the training kernel: value and embedding cotangents
+                       straight from the embeddings, by row tiles of the
+                       score table, for both tiltings. It reports whether
+                       the scores forced its shifted exp; training counts
+                       those steps per epoch.
+  loss_value_and_grad  the generic chain on an explicit score matrix (with
+                       similarity_matrix and similarity_vjp). It is the
+                       oracle the kernel is tested against, and the only
+                       path of the two MMD losses.
+
 The two MMD losses keep their kernel Gram matrices separate from the score
 matrix: the Grams carry no encoder dependence (training computes them on
 raw data batches), so the exact parameter gradient flows through the
@@ -17,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
-from .encoders import TILTINGS, SimilarityBatch, similarity_matrix
+from .encoders import TILTING_INNER, TILTINGS, SimilarityBatch, similarity_matrix
 
 KERNEL_FAMILIES = ("gaussian", "polynomial")
-LOSS_VARIANTS = ("clip", "cond", "joint", "cond_mmd", "joint_mmd")
+SOFTMAX_VARIANTS = ("clip", "cond", "joint")
+LOSS_VARIANTS = (*SOFTMAX_VARIANTS, "cond_mmd", "joint_mmd")
 
 
 @dataclass(frozen=True)
@@ -106,11 +119,10 @@ def _square_scores(s, min_n: int = 2) -> np.ndarray:
     return arr
 
 
-def _axis_lse_softmax(arr: np.ndarray, axis: int):
-    """Shifted-exp logsumexp and softmax along one axis from a single exp
-    pass. The generic scipy versions redo the exp and pay heavy dispatch
-    overhead per call, which dominates the training step on 512x512 score
-    batches; scores here are finite so the simple form suffices."""
+def _axis_lse_softmax(arr: np.ndarray, axis: int | None):
+    """Shifted-exp logsumexp and softmax along one axis (or over every entry
+    when axis is None) from a single exp pass; scipy's versions redo the exp
+    and pay heavy dispatch overhead per call."""
     m = np.max(arr, axis=axis, keepdims=True)
     e = np.subtract(arr, m)
     np.exp(e, out=e)
@@ -120,28 +132,40 @@ def _axis_lse_softmax(arr: np.ndarray, axis: int):
     return lse, e
 
 
-def _clip_value(arr: np.ndarray, lse_col: np.ndarray, lse_row: np.ndarray) -> float:
-    n = arr.shape[0]
-    diag = np.diag(arr)
-    return float((np.sum(lse_col - diag) + np.sum(lse_row - diag)) / (2.0 * n))
+# The value formulas, shared by the score-table functions below and by
+# score_step. diag_mean is the mean positive score; lse_col[j] and lse_row[i]
+# are the log partition sums of column j and row i, lse_neg that of a whole
+# table of n_neg negative scores.
+
+
+def _clip_value(diag_mean: float, lse_col: np.ndarray, lse_row: np.ndarray) -> float:
+    return 0.5 * (float(np.mean(lse_col)) + float(np.mean(lse_row))) - diag_mean
 
 
 def _cond_value(
-    arr: np.ndarray, lse_col: np.ndarray, lse_row: np.ndarray, lam_u: float, lam_v: float
+    diag_mean: float, lse_col: np.ndarray, lse_row: np.ndarray, lam_u: float, lam_v: float
 ) -> float:
-    n = arr.shape[0]
-    diag_mean = float(np.mean(np.diag(arr)))
-    logn = np.log(n)
-    term_u = diag_mean - float(np.mean(lse_col - logn))
-    term_v = diag_mean - float(np.mean(lse_row - logn))
+    logn = np.log(lse_col.size)
+    term_u = diag_mean - (float(np.mean(lse_col)) - logn)
+    term_v = diag_mean - (float(np.mean(lse_row)) - logn)
     return -0.5 * lam_u * term_u - 0.5 * lam_v * term_v
 
 
-def _cond_grad(
-    arr: np.ndarray, p_col: np.ndarray, p_row: np.ndarray, lam_u: float, lam_v: float
-) -> np.ndarray:
+def _joint_value(pos_mean: float, lse_neg: float, n_neg: int) -> float:
+    return float(lse_neg) - np.log(n_neg) - pos_mean
+
+
+def _softmax_value(kind: LossKind, n: int, diag_mean: float, lse_col, lse_row, lse_all) -> float:
+    if kind.variant == "clip":
+        return _clip_value(diag_mean, lse_col, lse_row)
+    if kind.variant == "cond":
+        return _cond_value(diag_mean, lse_col, lse_row, kind.lam_u, kind.lam_v)
+    return _joint_value(diag_mean, lse_all, n * n)
+
+
+def _cond_grad(p_col: np.ndarray, p_row: np.ndarray, lam_u: float, lam_v: float) -> np.ndarray:
     # consumes p_col and p_row as scratch buffers
-    n = arr.shape[0]
+    n = p_col.shape[0]
     if lam_u != 1.0:
         p_col *= lam_u
     if lam_v != 1.0:
@@ -158,7 +182,7 @@ def loss_clip(s) -> float:
     arr = _square_scores(s)
     lse_col, _ = _axis_lse_softmax(arr, 0)
     lse_row, _ = _axis_lse_softmax(arr, 1)
-    return _clip_value(arr, lse_col, lse_row)
+    return _clip_value(float(np.mean(np.diag(arr))), lse_col, lse_row)
 
 
 def loss_cond(s, lam_u: float, lam_v: float) -> float:
@@ -166,14 +190,14 @@ def loss_cond(s, lam_u: float, lam_v: float) -> float:
     arr = _square_scores(s)
     lse_col, _ = _axis_lse_softmax(arr, 0)
     lse_row, _ = _axis_lse_softmax(arr, 1)
-    return _cond_value(arr, lse_col, lse_row, lam_u, lam_v)
+    return _cond_value(float(np.mean(np.diag(arr))), lse_col, lse_row, lam_u, lam_v)
 
 
 def grad_cond(s, lam_u: float, lam_v: float) -> np.ndarray:
     arr = _square_scores(s)
     _, p_col = _axis_lse_softmax(arr, 0)
     _, p_row = _axis_lse_softmax(arr, 1)
-    return _cond_grad(arr, p_col, p_row, lam_u, lam_v)
+    return _cond_grad(p_col, p_row, lam_u, lam_v)
 
 
 def grad_clip(s) -> np.ndarray:
@@ -191,14 +215,15 @@ def loss_joint(s_pos, s_neg) -> float:
     neg = _scores(s_neg)
     if pos.size < 2:
         raise ValueError("need at least 2 positive scores")
-    return float(-np.mean(pos) + logsumexp(neg) - np.log(neg.size))
+    lse_neg, _ = _axis_lse_softmax(neg, None)
+    return _joint_value(float(np.mean(pos)), lse_neg, neg.size)
 
 
 def grad_joint(s_pos, s_neg) -> tuple[np.ndarray, np.ndarray]:
     pos = np.asarray(s_pos, dtype=np.float64).reshape(-1)
     neg = _scores(s_neg)
     g_pos = np.full(pos.shape, -1.0 / pos.size)
-    g_neg = softmax(neg.ravel()).reshape(neg.shape)
+    _, g_neg = _axis_lse_softmax(neg, None)
     return g_pos, g_neg
 
 
@@ -262,9 +287,9 @@ def cond_mmd_from_grams(s, k_u: np.ndarray, k_v: np.ndarray, lam_u: float, lam_v
     arr = _square_scores(s)
     val = 0.0
     if lam_u:
-        val += lam_u * _cond_mmd_side(k_u, softmax(arr, axis=0))
+        val += lam_u * _cond_mmd_side(k_u, _axis_lse_softmax(arr, 0)[1])
     if lam_v:
-        val += lam_v * _cond_mmd_side(k_v, softmax(arr.T, axis=0))
+        val += lam_v * _cond_mmd_side(k_v, _axis_lse_softmax(arr.T, 0)[1])
     return float(val)
 
 
@@ -272,10 +297,10 @@ def cond_mmd_grad_scores(s, k_u, k_v, lam_u: float, lam_v: float) -> np.ndarray:
     arr = _square_scores(s)
     g = np.zeros_like(arr)
     if lam_u:
-        w = softmax(arr, axis=0)
+        w = _axis_lse_softmax(arr, 0)[1]
         g += lam_u * _softmax_col_vjp(w, _cond_mmd_side_grad_w(k_u, w))
     if lam_v:
-        w = softmax(arr.T, axis=0)
+        w = _axis_lse_softmax(arr.T, 0)[1]
         g += lam_v * _softmax_col_vjp(w, _cond_mmd_side_grad_w(k_v, w)).T
     return g
 
@@ -293,7 +318,7 @@ def joint_mmd_weights(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     if np.all(np.isneginf(scores)):
         raise ValueError("degenerate weights: all scores are -inf")
-    return softmax(scores)
+    return _axis_lse_softmax(scores, None)[1]
 
 
 def loss_joint_mmd(z, z_tilde, scores, kernel: Kernel) -> float:
@@ -350,20 +375,17 @@ def loss_value_and_grad(kind: LossKind, s: SimilarityBatch, u_batch=None, v_batc
     """
     arr = _square_scores(s)
     n = arr.shape[0]
-    if kind.variant in ("clip", "cond"):
+    if kind.variant in SOFTMAX_VARIANTS:
+        diag_mean = float(np.mean(np.diag(arr)))
+        if kind.variant == "joint":
+            lse_all, ds = _axis_lse_softmax(arr, None)
+            ds[np.diag_indices(n)] -= 1.0 / n
+            return _softmax_value(kind, n, diag_mean, None, None, lse_all), ds
         lse_col, p_col = _axis_lse_softmax(arr, 0)
         lse_row, p_row = _axis_lse_softmax(arr, 1)
-        if kind.variant == "clip":
-            return _clip_value(arr, lse_col, lse_row), _cond_grad(arr, p_col, p_row, 1.0, 1.0)
-        value = _cond_value(arr, lse_col, lse_row, kind.lam_u, kind.lam_v)
-        return value, _cond_grad(arr, p_col, p_row, kind.lam_u, kind.lam_v)
-    if kind.variant == "joint":
-        pos = np.diag(arr)
-        value = loss_joint(pos, arr)
-        g_pos, g_neg = grad_joint(pos, arr)
-        ds = g_neg.copy()
-        ds[np.diag_indices(n)] += g_pos
-        return value, ds
+        value = _softmax_value(kind, n, diag_mean, lse_col, lse_row, None)
+        lam_u, lam_v = (kind.lam_u, kind.lam_v) if kind.variant == "cond" else (1.0, 1.0)
+        return value, _cond_grad(p_col, p_row, lam_u, lam_v)
     if u_batch is None or v_batch is None:
         raise ValueError(f"{kind.variant} needs the raw data batches for its kernel")
     if kind.variant == "cond_mmd":
@@ -376,3 +398,149 @@ def loss_value_and_grad(kind: LossKind, s: SimilarityBatch, u_batch=None, v_batc
     value = loss_joint_mmd(z, zt, flat, kind.kernel)
     ds = joint_mmd_grad_scores(z, zt, flat, kind.kernel).reshape(arr.shape)
     return value, ds
+
+
+# Rows per tile of the score table in score_step: a 128 x N tile of exps
+# stays in cache while its sums and skinny contractions are taken.
+SCORE_BLOCK = 128
+# Largest |score| the unshifted exp takes: a whole row of such terms still
+# sums without overflow for any batch that fits in memory.
+EXP_LIMIT = 680.0
+
+
+def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
+    """Value and embedding cotangents of a clip, cond or joint loss, taken
+    straight from the embeddings; returns (value, cot_u, cot_v, shifted).
+
+    Mathematically the composition similarity_matrix -> loss_value_and_grad
+    -> similarity_vjp, reorganised so that no softmax matrix and no score
+    cotangent is formed. The score table s = xu @ xv.T is walked in row
+    tiles; each tile is exponentiated once, E = exp(s), and reduced on the
+    spot into E @ [e_v, 1] (row sums in the last column), E.T @ [e_u, 1]
+    (column sums) and, for the row softmax of cond, E.T @ ([e_u, 1] / z_row).
+    The column softmax of cond needs all column sums first, so it takes one
+    more skinny product over the kept table at the end. The score cotangent
+    ds, contracted with [e_v, 1] and [e_u, 1], is then a combination of
+    these sums, and the ones columns carry the row and column sums of ds
+    that the l2_distance tilting needs. Under l2_distance the row bias
+    -|u_i|^2/2tau and column bias -|v_j|^2/2tau ride in two extra columns
+    of xu and xv.
+
+    The exps run unshifted while every score lies in (-EXP_LIMIT,
+    EXP_LIMIT). Once a tile leaves that range the whole table is recomputed
+    and exponentiated with shifts: the row maximum for the row softmax, the
+    column maximum for the column softmax, the global maximum for joint;
+    shifted is then True. Non-finite scores raise ValueError, as in
+    similarity_matrix. ws caches the N x N table between calls.
+    """
+    if kind.variant not in SOFTMAX_VARIANTS:
+        raise ValueError(f"score_step covers {SOFTMAX_VARIANTS}, not {kind.variant!r}")
+    if tilting not in TILTINGS:
+        raise ValueError(f"unknown tilting {tilting!r}")
+    e_u = np.asarray(e_u, dtype=np.float64)
+    e_v = np.asarray(e_v, dtype=np.float64)
+    if e_u.ndim != 2 or e_u.shape != e_v.shape or e_u.shape[0] < 2:
+        raise ValueError(f"embedding shapes {e_u.shape} and {e_v.shape} must match, N >= 2")
+    n, k = e_u.shape
+    table = ws.get(n)
+    if table is None:
+        table = ws[n] = np.empty((n, n))
+    ones = np.ones((n, 1))
+    eu1 = np.hstack([e_u, ones])
+    ev1 = np.hstack([e_v, ones])
+    sq_u = np.sum(e_u**2, axis=1, keepdims=True)
+    sq_v = np.sum(e_v**2, axis=1, keepdims=True)
+    # Cauchy-Schwarz bound on |score|; the tiles need no range check below it
+    norm_u, norm_v = np.sqrt(np.max(sq_u)), np.sqrt(np.max(sq_v))
+    if tilting == TILTING_INNER:
+        xu, xv = e_u / tau, e_v
+        bound = norm_u * norm_v / tau
+    else:
+        xu = np.hstack([e_u / tau, sq_u / (-2.0 * tau), ones])
+        xv = np.hstack([e_v, ones, sq_v / (-2.0 * tau)])
+        bound = (norm_u + norm_v) ** 2 / (2.0 * tau)
+    check_tiles = not bound < EXP_LIMIT
+    joint = kind.variant == "joint"
+    lam_u, lam_v = (kind.lam_u, kind.lam_v) if kind.variant == "cond" else (1.0, 1.0)
+    need_prow = not joint and lam_v != 0.0
+
+    diag = np.empty(n)
+    row_ev = np.empty((n, k + 1))  # E @ [e_v, 1]
+    col_eu = np.zeros((n, k + 1))  # E.T @ [e_u, 1]
+    prow_eu = np.zeros((n, k + 1)) if need_prow else None  # P_row.T @ [e_u, 1]
+
+    def reduce_rows(e_row, e_col, lo, hi):
+        np.matmul(e_row, ev1, out=row_ev[lo:hi])
+        col_eu[:] += e_col.T @ eu1[lo:hi]
+        if need_prow:
+            prow_eu[:] += e_row.T @ (eu1[lo:hi] / row_ev[lo:hi, k:])
+
+    shifted = False
+    for lo in range(0, n, SCORE_BLOCK):
+        hi = min(lo + SCORE_BLOCK, n)
+        tile = table[lo:hi]
+        np.matmul(xu[lo:hi], xv.T, out=tile)
+        if check_tiles:
+            low, high = _score_range(tile)
+            if not (-EXP_LIMIT < low and high < EXP_LIMIT):
+                shifted = True
+                break
+        diag[lo:hi] = tile[:, lo:hi].diagonal()
+        np.exp(tile, out=tile)
+        reduce_rows(tile, tile, lo, hi)
+    shift_row = shift_col = shift_all = 0.0
+    e_col = table
+    if shifted:
+        np.matmul(xu, xv.T, out=table)
+        _, shift_all = _score_range(table)
+        diag[:] = table.diagonal()
+        if joint:
+            table -= shift_all
+        else:
+            shift_col = np.max(table, axis=0)
+            e_col = np.exp(table - shift_col)
+            shift_row = np.max(table, axis=1)
+            table -= shift_row[:, None]
+        np.exp(table, out=table)
+        col_eu[:] = 0.0
+        if need_prow:
+            prow_eu[:] = 0.0
+        reduce_rows(table, e_col, 0, n)
+
+    z_row = row_ev[:, k]
+    z_col = col_eu[:, k]
+    if joint:
+        z_all = float(np.sum(z_row))
+        value = _softmax_value(kind, n, float(np.mean(diag)), None, None, shift_all + np.log(z_all))
+        q_u = row_ev / z_all - ev1 / n
+        q_v = col_eu / z_all - eu1 / n
+    else:
+        lse_col = shift_col + np.log(z_col)
+        lse_row = shift_row + np.log(z_row)
+        value = _softmax_value(kind, n, float(np.mean(diag)), lse_col, lse_row, None)
+        # q = ds @ [e_v, 1] and ds.T @ [e_u, 1] with
+        # ds = (lam_u P_col + lam_v P_row - (lam_u + lam_v) I) / 2N
+        q_u = -(lam_u + lam_v) * ev1
+        q_v = -(lam_u + lam_v) * eu1
+        if lam_u:
+            q_u += lam_u * (e_col @ (ev1 / z_col[:, None]))
+            q_v += lam_u * (col_eu / z_col[:, None])
+        if lam_v:
+            q_u += lam_v * (row_ev / z_row[:, None])
+            q_v += lam_v * prow_eu
+        q_u /= 2.0 * n
+        q_v /= 2.0 * n
+    cot_u = q_u[:, :k]
+    cot_v = q_v[:, :k]
+    if tilting != TILTING_INNER:
+        cot_u = cot_u - q_u[:, k:] * e_u
+        cot_v = cot_v - q_v[:, k:] * e_v
+    return value, cot_u / tau, cot_v / tau, shifted
+
+
+def _score_range(scores: np.ndarray) -> tuple[float, float]:
+    # nan propagates through min and max, so two reductions check finiteness
+    low, high = float(np.min(scores)), float(np.max(scores))
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError("non-finite similarity scores")
+    return low, high

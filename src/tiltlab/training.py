@@ -3,9 +3,20 @@
 The loop is a pure function of (config, data, initial parameters): epoch
 shuffles come from a counter-based stream keyed by (0, epoch) under the
 config seed, batches are consecutive slices of the shuffled index list, and
-each step backpropagates the chosen loss through the similarity matrix into
+each step backpropagates the chosen loss through the tilting scores into
 both encoders. Specs without trainable parameters (one_hot, frozen_table)
 pass through untouched.
+
+A step takes one of two paths, fixed by the loss variant:
+  clip, cond, joint    losses.score_step, the tiled score-table kernel, for
+                       both tiltings; a step whose scores leave its
+                       unshifted exp range is counted per epoch in
+                       TrainHistory.shifted_steps
+  cond_mmd, joint_mmd  the generic chain similarity_matrix ->
+                       loss_value_and_grad -> similarity_vjp, which is also
+                       the test oracle for the kernel
+A non-finite gradient, Adam moment or parameter raises NonFiniteGradient
+naming the epoch and step.
 """
 
 from __future__ import annotations
@@ -19,7 +30,6 @@ import numpy as np
 from .encoders import (
     EncoderParams,
     EncoderSpec,
-    TILTING_INNER,
     TILTINGS,
     encode,
     encode_vjp,
@@ -27,7 +37,7 @@ from .encoders import (
     similarity_vjp,
 )
 from .errors import NonFiniteGradient
-from .losses import LossKind, loss_value_and_grad
+from .losses import SOFTMAX_VARIANTS, LossKind, loss_value_and_grad, score_step
 from .rng import SeededRng
 
 
@@ -58,11 +68,14 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch mean loss, caller-supplied metrics, and wall-clock seconds."""
+    """Per-epoch mean loss, caller-supplied metrics, wall-clock seconds, and
+    the number of steps whose scores left the unshifted exp range of
+    losses.score_step (zero for the MMD losses, which never take it)."""
 
     losses: list[float] = field(default_factory=list)
     metrics: list[dict] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
+    shifted_steps: list[int] = field(default_factory=list)
 
     def to_csv(self, path):
         """epoch, loss, then metric columns. Wall-clock stays out of the
@@ -89,17 +102,23 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig):
-    """One bias-corrected Adam update; rejects non-finite gradients."""
+    """One bias-corrected Adam update; rejects a non-finite gradient, and a
+    finite one whose square or update overflows the moments or parameters."""
     grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("gradient contains nan or inf")
     b1, b2 = cfg.adam_betas
     t = state.t + 1
-    m = b1 * state.m + (1.0 - b1) * grad
-    v = b2 * state.v + (1.0 - b2) * grad**2
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = b1 * state.m + (1.0 - b1) * grad
+        v = b2 * state.v + (1.0 - b2) * grad**2
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    # v >= 0, so its maximum is finite exactly when all of v is; with v
+    # finite, a non-finite m shows up in the parameters
+    if v.size and not (np.isfinite(v.max()) and np.isfinite(new_params).all()):
+        raise NonFiniteGradient("Adam moments or parameters overflowed")
     return new_params, AdamState(m=m, v=v, t=t)
 
 
@@ -113,59 +132,6 @@ def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
         if idx.size >= 2:
             out.append(idx)
     return out
-
-
-# |score| bound for the unshifted exp fast path, with headroom so even a
-# whole batch row of near-maximal terms sums without overflow
-_EXP_SAFE = 680.0
-
-
-def _fused_inner_step(e_u, e_v, loss: LossKind, tau: float, ws: dict):
-    """Loss value and embedding cotangents for the clip/cond losses under
-    the inner-product tilting, from one shared exp table and skinny matmuls.
-
-    Mathematically the same composition as similarity_matrix ->
-    loss_value_and_grad -> similarity_vjp, reorganized so the row/column
-    softmax matrices are never materialized: with P_col = E / colsum and
-    P_row = E / rowsum, the cotangent contractions P @ e and P.T @ e reduce
-    to scalings of E @ e and E.T @ e. Fresh 2 MB temporaries per step would
-    otherwise dominate the profile at batch 512, so s and E live in the
-    caller's workspace. Returns None when the scores leave the comfortable
-    exp range (or are not finite), handing the step to the generic chain.
-    """
-    n = e_u.shape[0]
-    if n not in ws:
-        ws[n] = (np.empty((n, n)), np.empty((n, n)))
-    s, e = ws[n]
-    np.matmul(e_u, e_v.T, out=s)
-    if tau != 1.0:
-        s /= tau
-    if not (-_EXP_SAFE < np.min(s) and np.max(s) < _EXP_SAFE):
-        return None
-    np.exp(s, out=e)
-    z_col = np.sum(e, axis=0)
-    z_row = np.sum(e, axis=1)
-    lam_u, lam_v = (1.0, 1.0) if loss.variant == "clip" else (loss.lam_u, loss.lam_v)
-    logn = np.log(n)
-    diag_mean = float(np.mean(np.diag(s)))
-    term_u = diag_mean - float(np.mean(np.log(z_col)) - logn)
-    term_v = diag_mean - float(np.mean(np.log(z_row)) - logn)
-    value = -0.5 * lam_u * term_u - 0.5 * lam_v * term_v
-    if loss.variant == "clip":
-        value += logn
-    c = 1.0 / (2.0 * n * tau)
-    lam_sum = lam_u + lam_v
-    cot_u = c * (
-        lam_u * (e @ (e_v / z_col[:, None]))
-        + lam_v * ((e @ e_v) / z_row[:, None])
-        - lam_sum * e_v
-    )
-    cot_v = c * (
-        lam_u * ((e.T @ e_u) / z_col[:, None])
-        + lam_v * (e.T @ (e_u / z_row[:, None]))
-        - lam_sum * e_u
-    )
-    return value, cot_u, cot_v
 
 
 def train(
@@ -200,22 +166,23 @@ def train(
     state_u = AdamState.zeros(params_u.theta.size)
     state_v = AdamState.zeros(params_v.theta.size)
     history = TrainHistory()
-    fusable = cfg.tilting == TILTING_INNER and cfg.loss.variant in ("clip", "cond")
+    softmax_family = cfg.loss.variant in SOFTMAX_VARIANTS
     ws: dict = {}
 
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
         step_losses = []
+        shifted_steps = 0
         for step, idx in enumerate(epoch_batches(n, cfg.batch_size, cfg.seed, epoch)):
             u_batch = u_all[idx]
             v_batch = v_all[idx]
             e_u = encode(spec_u, params_u, u_batch)
             e_v = encode(spec_v, params_v, v_batch)
-            fused = (
-                _fused_inner_step(e_u, e_v, cfg.loss, cfg.tau, ws) if fusable else None
-            )
-            if fused is not None:
-                value, cot_u, cot_v = fused
+            if softmax_family:
+                value, cot_u, cot_v, shifted = score_step(
+                    cfg.loss, e_u, e_v, cfg.tilting, cfg.tau, ws
+                )
+                shifted_steps += shifted
             else:
                 sb = similarity_matrix(e_u, e_v, cfg.tilting, cfg.tau)
                 value, ds = loss_value_and_grad(cfg.loss, sb, u_batch, v_batch)
@@ -235,4 +202,5 @@ def train(
         history.losses.append(float(np.mean(step_losses)))
         history.metrics.append(dict(probe(epoch, params_u, params_v)) if probe else {})
         history.seconds.append(time.perf_counter() - tic)
+        history.shifted_steps.append(shifted_steps)
     return params_u, params_v, history

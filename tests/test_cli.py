@@ -125,6 +125,27 @@ class TestConfigErrors:
         err = self.run_expecting_config_error(["run", write_config(tmp_path, doc)], capsys)
         assert "config.sweep.sample_sizes: expected a nonempty list" in err
 
+    def test_sweep_not_an_object(self, tmp_path, capsys):
+        doc = closed_form_doc(tmp_path / "o")
+        doc["sweep"] = [1]
+        err = self.run_expecting_config_error(["run", write_config(tmp_path, doc)], capsys)
+        assert "config.sweep: expected an object" in err
+
+    def test_loss_kernel_not_an_object(self, tmp_path, capsys):
+        doc = {
+            "experiment": "gaussian2d",
+            "seed": 0,
+            "output_dir": str(tmp_path / "o"),
+            "train": {
+                "epochs": 1,
+                "batch_size": 64,
+                "learning_rate": 1e-3,
+                "loss": {"variant": "cond_mmd", "kernel": 5},
+            },
+        }
+        err = self.run_expecting_config_error(["run", write_config(tmp_path, doc)], capsys)
+        assert "config.train.loss.kernel: expected an object" in err
+
     def test_gaussian_block_not_positive_definite(self, tmp_path, capsys):
         doc = closed_form_doc(tmp_path / "o")
         doc["gaussian"] = {"c_uu": [[1.0]], "c_uv": [[2.0]], "c_vv": [[1.0]]}
@@ -289,6 +310,32 @@ class TestGaussian2d:
         )
         for key in ("density_cond_model", "density_joint_model", "density_quad_model"):
             assert float(center[0][key]) > 0
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("variant", ["joint", "cond"])
+    def test_adam_overflow_exits_1_with_epoch_and_step(self, tmp_path, capsys, variant):
+        # tau = 1e-300 gives finite gradients near 1e300 whose squares
+        # overflow Adam's second moment; no report may be written
+        outdir = tmp_path / "out"
+        doc = {
+            "experiment": "gaussian2d",
+            "seed": 1,
+            "output_dir": str(outdir),
+            "sweep": {"sample_sizes": [256]},
+            "train": {
+                "epochs": 1,
+                "batch_size": 64,
+                "learning_rate": 0.01,
+                "tau": 1e-300,
+                "loss": {"variant": variant},
+            },
+        }
+        rc = cli.main(["run", write_config(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "runtime error in gaussian2d: epoch 0, step 0:" in err
+        assert not (outdir / "report.json").exists()
 
 
 class TestGaussianGp:

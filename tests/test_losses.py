@@ -7,7 +7,7 @@ import pytest
 from scipy.special import softmax
 
 from tiltlab import losses
-from tiltlab.encoders import similarity_matrix
+from tiltlab.encoders import similarity_matrix, similarity_vjp
 from tiltlab.losses import Kernel, LossKind
 from tiltlab.rng import SeededRng
 
@@ -440,3 +440,85 @@ class TestDispatch:
             fd = (value_at(s0 + step * d) - value_at(s0 - step * d)) / (2 * step)
             an = float(np.sum(g * d))
             assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-8)
+
+
+def generic_chain(kind, e_u, e_v, tilting, tau):
+    sb = similarity_matrix(e_u, e_v, tilting, tau)
+    value, ds = losses.loss_value_and_grad(kind, sb)
+    cot_u, cot_v = similarity_vjp(e_u, e_v, tilting, tau, ds)
+    return value, cot_u, cot_v
+
+
+def unit_rows(seed, n, n_e):
+    e = SeededRng(seed).standard_normal((2, n, n_e))
+    return e / np.linalg.norm(e, axis=2, keepdims=True)
+
+
+SOFTMAX_KINDS = [LossKind("clip"), LossKind("cond", 1.3, 0.6), LossKind("joint")]
+BLOCK = losses.SCORE_BLOCK
+
+
+class TestScoreStep:
+    """The tiled kernel against the generic chain it replaces in training."""
+
+    @pytest.mark.parametrize("n", [2, BLOCK - 1, 2 * BLOCK + 37])
+    @pytest.mark.parametrize("tilting", ["inner_product", "l2_distance"])
+    @pytest.mark.parametrize("kind", SOFTMAX_KINDS, ids=lambda k: k.variant)
+    @pytest.mark.parametrize("tau", [0.7, 1e-3])
+    def test_matches_generic_chain(self, kind, tilting, n, tau):
+        # at tau = 1e-3 the unit-norm embeddings score up to about +-1000,
+        # which takes the shifted exp; compare relative to the largest entry
+        e_u, e_v = unit_rows(n, n, 3)
+        value, cot_u, cot_v, shifted = losses.score_step(kind, e_u, e_v, tilting, tau, {})
+        want_value, want_u, want_v = generic_chain(kind, e_u, e_v, tilting, tau)
+        scale = max(1.0, abs(want_value), np.abs(want_u).max(), np.abs(want_v).max())
+        assert abs(value - want_value) <= 1e-12 * scale
+        np.testing.assert_allclose(cot_u, want_u, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(cot_v, want_v, rtol=0, atol=1e-12 * scale)
+        scores = similarity_matrix(e_u, e_v, tilting, tau).s
+        assert shifted == bool(np.abs(scores).max() >= losses.EXP_LIMIT)
+        if tau == 1e-3 and n > 2:
+            assert shifted
+
+    @pytest.mark.parametrize("tilting", ["inner_product", "l2_distance"])
+    @pytest.mark.parametrize(
+        "kind", [*SOFTMAX_KINDS, LossKind("cond", 0.0, 2.0), LossKind("cond", 2.0, 0.0)],
+        ids=lambda k: f"{k.variant}-{k.lam_u}-{k.lam_v}",
+    )
+    def test_cotangents_match_central_differences(self, kind, tilting):
+        e_u, e_v = unit_rows(11, 2 * BLOCK + 5, 2)
+        e_u, e_v = 2.0 * e_u, 2.0 * e_v
+        tau, step = 0.7, 1e-5
+        _, cot_u, cot_v, _ = losses.score_step(kind, e_u, e_v, tilting, tau, {})
+        rng = SeededRng(12)
+        for probe in range(4):
+            d_u = rng.split(0, probe).standard_normal(e_u.shape)
+            d_v = rng.split(1, probe).standard_normal(e_v.shape)
+            plus = losses.score_step(kind, e_u + step * d_u, e_v + step * d_v, tilting, tau, {})
+            minus = losses.score_step(kind, e_u - step * d_u, e_v - step * d_v, tilting, tau, {})
+            fd = (plus[0] - minus[0]) / (2 * step)
+            an = float(np.sum(cot_u * d_u) + np.sum(cot_v * d_v))
+            # the absolute term covers the rounding of a value near log N^2
+            assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an)) + 1e-9
+
+    def test_workspace_reused_across_calls(self):
+        e_u, e_v = unit_rows(13, 40, 2)
+        ws = {}
+        first = losses.score_step(LossKind("joint"), e_u, e_v, "inner_product", 1.0, ws)
+        table = ws[40]
+        again = losses.score_step(LossKind("joint"), e_u, e_v, "inner_product", 1.0, ws)
+        assert ws[40] is table
+        assert first[0] == again[0]
+        np.testing.assert_array_equal(first[1], again[1])
+
+    def test_non_finite_scores_raise(self):
+        e_u, e_v = unit_rows(14, 8, 2)
+        e_u[5, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite similarity scores"):
+            losses.score_step(LossKind("cond"), e_u, e_v, "inner_product", 1.0, {})
+
+    def test_rejects_mmd_variants(self):
+        e_u, e_v = unit_rows(15, 4, 2)
+        kind = LossKind("cond_mmd", kernel=Kernel("gaussian"))
+        with pytest.raises(ValueError, match="score_step covers"):
+            losses.score_step(kind, e_u, e_v, "inner_product", 1.0, {})

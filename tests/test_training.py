@@ -104,6 +104,12 @@ class TestAdam:
         with pytest.raises(NonFiniteGradient):
             adam_step(np.zeros(2), np.array([1.0, np.nan]), AdamState.zeros(2), cfg)
 
+    def test_rejects_second_moment_overflow(self):
+        # the gradient is finite but its square is not
+        cfg = small_config()
+        with np.errstate(over="raise"), pytest.raises(NonFiniteGradient, match="overflowed"):
+            adam_step(np.zeros(2), np.array([1e200, 1.0]), AdamState.zeros(2), cfg)
+
 
 class TestTrainLoop:
     def test_loss_decreases_on_easy_problem(self):
@@ -150,6 +156,22 @@ class TestTrainLoop:
             np.testing.assert_allclose(pu.theta, params_u.theta, atol=1e-12)
             np.testing.assert_allclose(pv.theta, params_v.theta, atol=1e-12)
             assert hist.losses[0] == pytest.approx(np.mean(losses_ref), abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["clip", "cond", "joint"])
+    def test_shifted_steps_counted_per_epoch(self, variant):
+        # with a 1-d input the unit-norm embeddings are +-g/|g| and +-h/|h|,
+        # so every score is +-cos(g, h)/tau: far outside the unshifted exp
+        # range at tau = 1e-4 unless g and h are nearly orthogonal, and
+        # inside it at tau = 1
+        data = toy_data(3, 48)
+        spec = encoders.linear_spec(1, 2, normalized=True)
+        pu = encoders.init_params(spec, SeededRng(4).split(0))
+        pv = encoders.init_params(spec, SeededRng(4).split(1))
+        for tau, want in ((1e-4, [3, 3]), (1.0, [0, 0])):
+            cfg = small_config(epochs=2, batch_size=16, tau=tau, loss=LossKind(variant))
+            _, _, hist = train(cfg, data, spec, spec, pu, pv)
+            assert hist.shifted_steps == want
+            assert all(np.isfinite(hist.losses))
 
     def test_deterministic_rerun(self):
         data = toy_data(2, 64)

@@ -35,6 +35,14 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _block(doc: dict, key: str, path: str, default=None) -> dict:
+    """doc[key] as a JSON object; required when no default is given."""
+    value = _require(doc, key, path) if default is None else doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}.{key}: expected an object")
+    return value
+
+
 def _as_int(value, path: str, minimum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -66,15 +74,11 @@ def _int_list(doc: dict, key: str, path: str, default: list) -> list:
     return [_as_int(x, f"{path}.{key}[{i}]", minimum=1) for i, x in enumerate(raw)]
 
 
-def _build_loss(doc, path: str) -> losses.LossKind:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
+def _build_loss(doc: dict, path: str) -> losses.LossKind:
     variant = _require(doc, "variant", path)
     kernel = None
     if "kernel" in doc:
-        kdoc = doc["kernel"]
-        if not isinstance(kdoc, dict):
-            raise ConfigError(f"{path}.kernel: expected an object")
+        kdoc = _block(doc, "kernel", path)
         try:
             kernel = losses.Kernel(
                 family=_require(kdoc, "family", f"{path}.kernel"),
@@ -95,9 +99,7 @@ def _build_loss(doc, path: str) -> losses.LossKind:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _build_train(doc, seed: int, path: str) -> training.TrainConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
+def _build_train(doc: dict, seed: int, path: str) -> training.TrainConfig:
     try:
         return training.TrainConfig(
             seed=seed,
@@ -105,7 +107,7 @@ def _build_train(doc, seed: int, path: str) -> training.TrainConfig:
             batch_size=_as_int(_require(doc, "batch_size", path), f"{path}.batch_size", minimum=2),
             learning_rate=_as_number(_require(doc, "learning_rate", path), f"{path}.learning_rate"),
             tau=_as_number(doc.get("tau", 1.0), f"{path}.tau"),
-            loss=_build_loss(_require(doc, "loss", path), f"{path}.loss"),
+            loss=_build_loss(_block(doc, "loss", path), f"{path}.loss"),
             tilting=doc.get("tilting", encoders.TILTING_INNER),
         )
     except ValueError as exc:
@@ -127,16 +129,16 @@ class RunPlan:
         if not outdir:
             raise ConfigError("config.output_dir: missing (or pass --output-dir)")
         self.output_dir = str(outdir)
-        sweep = doc.get("sweep", {})
-        if not isinstance(sweep, dict):
-            raise ConfigError("config.sweep: expected an object")
+        sweep = _block(doc, "sweep", "config", {})
         self.sweep = {
             "embedding_dims": _int_list(sweep, "embedding_dims", "config.sweep", [1]),
             "batch_sizes": _int_list(sweep, "batch_sizes", "config.sweep", [64]),
             "sample_sizes": _int_list(sweep, "sample_sizes", "config.sweep", [2000]),
         }
 
-        gdoc = doc.get("gaussian", {"c_uu": [[1.5]], "c_uv": [[1.0]], "c_vv": [[1.5]]})
+        gdoc = _block(
+            doc, "gaussian", "config", {"c_uu": [[1.5]], "c_uv": [[1.0]], "c_vv": [[1.5]]}
+        )
         try:
             self.blocks = gaussian.BlockGaussian(
                 _as_matrix(_require(gdoc, "c_uu", "config.gaussian"), "config.gaussian.c_uu"),
@@ -148,10 +150,10 @@ class RunPlan:
 
         self.train = None
         if self.experiment != "closed-form":
-            self.train = _build_train(_require(doc, "train", "config"), self.seed, "config.train")
+            self.train = _build_train(_block(doc, "train", "config"), self.seed, "config.train")
 
         if self.experiment == "gaussian-gp":
-            gp = doc.get("gp", {})
+            gp = _block(doc, "gp", "config", {})
             try:
                 self.gp = datagen.GpConfig(
                     tau_inv_length=_as_number(gp.get("tau_inv_length", 3.0), "config.gp.tau_inv_length"),
@@ -165,12 +167,15 @@ class RunPlan:
                 raise ConfigError(f"config.gp: {exc}") from exc
 
         if self.experiment == "lagrangian":
-            flow = doc.get("flow", {})
+            flow = _block(doc, "flow", "config", {})
             self.flow_m = _as_int(flow.get("m", 1), "config.flow.m", minimum=0)
             self.flow_dt = _as_number(flow.get("dt", 1e-3), "config.flow.dt")
             self.flow_t_final = _as_number(flow.get("t_final", 0.5), "config.flow.t_final")
             self.flow_stride = _as_int(flow.get("record_stride", 10), "config.flow.record_stride", minimum=1)
-            self.flow_x0 = tuple(flow.get("x0", (0.5, 0.5)))
+            x0 = flow.get("x0", [0.5, 0.5])
+            if not isinstance(x0, list) or len(x0) != 2:
+                raise ConfigError(f"config.flow.x0: expected a pair of numbers, got {x0!r}")
+            self.flow_x0 = tuple(_as_number(c, f"config.flow.x0[{i}]") for i, c in enumerate(x0))
             self.heldout = _as_int(doc.get("heldout", 500), "config.heldout", minimum=1)
             self.hidden = _as_int(doc.get("hidden", 256), "config.hidden", minimum=1)
             try:
@@ -186,11 +191,16 @@ class RunPlan:
                 raise ConfigError(f"config.flow: {exc}") from exc
 
         if self.experiment == "mnist":
-            m = doc.get("mnist", {})
+            m = _block(doc, "mnist", "config", {})
             self.mnist_paths = {
                 k: m.get(k)
                 for k in ("images", "labels", "test_images", "test_labels")
             }
+            for k, v in self.mnist_paths.items():
+                if v is not None and not isinstance(v, str):
+                    raise ConfigError(f"config.mnist.{k}: expected a path, got {v!r}")
+            if self.mnist_paths["test_images"] and not self.mnist_paths["test_labels"]:
+                raise ConfigError("config.mnist.test_labels: required when test_images is given")
             self.hidden = _as_int(doc.get("hidden", 128), "config.hidden", minimum=1)
 
         self.echo = {k: v for k, v in doc.items() if k != "output_dir"}
@@ -305,10 +315,7 @@ def _run_closed_form(plan: RunPlan):
     }
     rows = []
     for name in ("true_gain", "true_cov", "a_cond", "a_quad", "b_quad", "a_joint"):
-        m = results[name]
-        rows.extend(
-            _matrix_rows(name, np.asarray(m["data"]).reshape(m["rows"], m["cols"]))
-        )
+        rows.extend(_matrix_rows(name, linalg.matrix_from_json(results[name])))
     artifacts = [_write_csv(plan, "closed_form", ["quantity", "row", "col", "value"], rows)]
     _write_report(plan, results, artifacts)
 
@@ -489,10 +496,7 @@ def _run_mnist(plan: RunPlan):
     counts = np.bincount(labels, minlength=10)
     with np.errstate(divide="ignore"):
         log_pi = np.log(counts / labels.size)
-    probs = np.exp(
-        logits + log_pi - np.max(logits + log_pi, axis=1, keepdims=True)
-    )
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = losses._axis_lse_softmax(logits + log_pi, 1)[1]
     prob_rows = [
         (i, int(test_labels[i]), *[float(p) for p in probs[i]]) for i in range(probs.shape[0])
     ]
@@ -533,24 +537,6 @@ def _run_mnist(plan: RunPlan):
     )
 
 
-def torus_trajectory_features(v: np.ndarray) -> np.ndarray:
-    """Smooth chart for torus-valued trajectories: cos/sin of the angle per
-    recorded coordinate plus wrapped step displacements. Raw [0, 1) positions
-    have mod-1 cliffs that a dense encoder cannot interpolate across."""
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    pos = v.reshape(v.shape[0], -1, 2)
-    ang = 2.0 * np.pi * pos
-    disp = ((np.diff(pos, axis=1) + 0.5) % 1.0) - 0.5
-    return np.concatenate(
-        [
-            np.cos(ang).reshape(v.shape[0], -1),
-            np.sin(ang).reshape(v.shape[0], -1),
-            disp.reshape(v.shape[0], -1),
-        ],
-        axis=1,
-    )
-
-
 def _run_lagrangian(plan: RunPlan):
     root = SeededRng(plan.seed)
     flow = datagen.draw_flow_config(
@@ -565,7 +551,7 @@ def _run_lagrangian(plan: RunPlan):
     n_total = n_train + plan.heldout
     data = datagen.lagrangian_dataset(flow, n_total, root.split(3))
     coeff_dim = data.u.shape[1]
-    feats = torus_trajectory_features(data.v)
+    feats = datagen.torus_trajectory_features(data.v)
 
     # cosine embeddings on both sides: the coefficient table is frozen
     # (identity up to normalization), only the trajectory encoder learns

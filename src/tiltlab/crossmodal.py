@@ -8,15 +8,15 @@ always resolve to the smaller row index, so every ranking is deterministic.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
-from .encoders import EncoderParams, EncoderSpec, encode
-from .errors import NonFiniteGradient, ZeroNormRow
+from .encoders import EncoderParams, EncoderSpec, _unit_rows, encode
+from .errors import NonFiniteGradient
+from .linalg import matrix_from_json, matrix_to_json
+from .losses import _axis_lse_softmax
 from .training import AdamState, TrainConfig, adam_step, epoch_batches
 
 
@@ -37,11 +37,7 @@ class EmbeddingIndex:
 def build_index(items, ids, normalized: bool = True) -> EmbeddingIndex:
     items = np.asarray(items, dtype=np.float64)
     if normalized:
-        norms = np.linalg.norm(items, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ZeroNormRow(f"cannot normalize zero embedding at row {zero[0]}")
-        items = items / norms[:, None]
+        items = _unit_rows(items)[0]
     return EmbeddingIndex(items=items, ids=tuple(ids), normalized=normalized)
 
 
@@ -66,7 +62,7 @@ def classify(u_embedding, labels, tau: float):
     q = np.asarray(u_embedding, dtype=np.float64).reshape(-1)
     labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
     s = labels @ q
-    probs = softmax(s / tau)
+    probs = _axis_lse_softmax(s / tau, None)[1]
     return int(np.argmax(s)), probs
 
 
@@ -150,7 +146,7 @@ def fine_tune(
             log_pi = np.full(n_classes, -np.inf)
             present, counts = np.unique(y, return_counts=True)
             log_pi[present] = np.log(counts / y.size)
-            post = softmax(logits + log_pi, axis=1)
+            post = _axis_lse_softmax(logits + log_pi, 1)[1]
             b = y.size
             dlogits = post / b
             dlogits[np.arange(b), y] -= 1.0 / b
@@ -164,19 +160,6 @@ def fine_tune(
         f_bias=theta[n_e * n_classes :],
         tau=cfg.tau,
     )
-
-
-def fine_tune_loss(head: ClassifierHead, e_u, labels) -> float:
-    """The fine-tuning objective on a full batch of embeddings; used by the
-    bias-shift-invariance and convergence checks."""
-    e_u = np.atleast_2d(np.asarray(e_u, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    logits = head_logits(head, e_u)
-    k = head.f_bias.size
-    log_pi = np.full(k, -np.inf)
-    present, counts = np.unique(y, return_counts=True)
-    log_pi[present] = np.log(counts / y.size)
-    return float(-np.mean(logits[np.arange(y.size), y]) + np.mean(logsumexp(logits + log_pi, axis=1)))
 
 
 def recall_at_k(queries, truth_ids, index: EmbeddingIndex, k: int) -> float:
@@ -200,18 +183,13 @@ def recall_at_k(queries, truth_ids, index: EmbeddingIndex, k: int) -> float:
 def index_to_json(index: EmbeddingIndex) -> dict:
     return {
         "ids": list(index.ids),
-        "matrix": {
-            "rows": index.items.shape[0],
-            "cols": index.items.shape[1],
-            "data": index.items.ravel().tolist(),
-        },
+        "matrix": matrix_to_json(index.items),
         "normalized": index.normalized,
     }
 
 
 def index_from_json(doc: dict) -> EmbeddingIndex:
-    m = doc["matrix"]
-    items = np.asarray(m["data"], dtype=np.float64).reshape(m["rows"], m["cols"])
+    items = matrix_from_json(doc["matrix"])
     return EmbeddingIndex(items=items, ids=tuple(doc["ids"]), normalized=bool(doc["normalized"]))
 
 
@@ -224,15 +202,3 @@ def load_index(path) -> EmbeddingIndex:
     with open(path, encoding="utf-8") as fh:
         return index_from_json(json.load(fh))
 
-
-def write_retrieval_csv(path, query_ids, queries, index: EmbeddingIndex, k: int):
-    """One row per (query, rank): query_id, rank, item_id, score."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "rank", "item_id", "score"])
-        for qid, q in zip(query_ids, queries):
-            scores = index.items @ q
-            order = np.argsort(-scores, kind="stable")[:k]
-            for rank, i in enumerate(order, start=1):
-                writer.writerow([qid, rank, index.ids[i], f"{scores[i]:.17g}"])

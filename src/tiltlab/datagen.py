@@ -1,6 +1,7 @@
 """Dataset generators: block-Gaussian pairs, the Gaussian-process modality
 pair (pointwise field values vs leading KL coefficients), the
-Eulerian/Lagrangian flow pair, and MNIST IDX ingestion.
+Eulerian/Lagrangian flow pair with a smooth feature chart for its
+trajectories, and MNIST IDX ingestion.
 
 Every generator is a pure function of (config, rng); independent samples use
 split RNG streams keyed by sample index, so batch generation is row-for-row
@@ -299,6 +300,24 @@ def lagrangian_dataset(cfg: FlowConfig, n: int, rng: SeededRng) -> PairedDataset
         "record_stride": cfg.record_stride,
     }
     return PairedDataset(u=u, v=v, meta=meta)
+
+
+def torus_trajectory_features(v: np.ndarray) -> np.ndarray:
+    """Smooth chart for torus-valued trajectories: cos/sin of the angle per
+    recorded coordinate plus wrapped step displacements. Raw [0, 1) positions
+    have mod-1 cliffs that a dense encoder cannot interpolate across."""
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    pos = v.reshape(v.shape[0], -1, 2)
+    ang = 2.0 * np.pi * pos
+    disp = ((np.diff(pos, axis=1) + 0.5) % 1.0) - 0.5
+    return np.concatenate(
+        [
+            np.cos(ang).reshape(v.shape[0], -1),
+            np.sin(ang).reshape(v.shape[0], -1),
+            disp.reshape(v.shape[0], -1),
+        ],
+        axis=1,
+    )
 
 
 _IDX_IMAGES_MAGIC = 0x00000803

@@ -7,9 +7,13 @@ layers with relu or tanh hidden activations and a linear head), one_hot
 vector but is never updated by training).
 
 All parameters travel as one flat float64 vector next to a per-layer shape
-table, so the optimizer is family-agnostic. encode_vjp returns the exact
-gradient of <cotangent, encode(batch)> with respect to that vector,
-including the row-normalization Jacobian when the spec asks for unit rows.
+table, so the optimizer is family-agnostic. One private forward pass checks
+the batch and the parameters, runs the layers and normalizes rows through
+_unit_rows (the package's one row normalizer). encode_with_vjp returns its
+embeddings together with a pullback that reuses it: the exact gradient of
+<cotangent, e> with respect to the flat vector, including the
+row-normalization Jacobian when the spec asks for unit rows. encode and
+encode_vjp are its two halves.
 """
 
 from __future__ import annotations
@@ -177,15 +181,6 @@ def params_from_table(spec: EncoderSpec, rows) -> EncoderParams:
     return EncoderParams(rows.ravel(), spec.shape_table())
 
 
-def _check_batch(spec: EncoderSpec, batch) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim == 1:
-        batch = batch[:, None]
-    if batch.ndim != 2 or batch.shape[1] != spec.n_in:
-        raise ValueError(f"batch shape {batch.shape}, spec wants (N, {spec.n_in})")
-    return batch
-
-
 def _indices(spec: EncoderSpec, batch: np.ndarray, limit: int) -> np.ndarray:
     idx = batch[:, 0]
     rounded = np.round(idx)
@@ -197,99 +192,110 @@ def _indices(spec: EncoderSpec, batch: np.ndarray, limit: int) -> np.ndarray:
     return idx
 
 
-def _raw_forward(spec: EncoderSpec, params: EncoderParams, batch: np.ndarray):
-    """Unnormalized forward pass; returns (output, cache for the backward)."""
-    if spec.family == "one_hot":
-        idx = _indices(spec, batch, spec.n_e)
-        out = np.zeros((batch.shape[0], spec.n_e))
-        out[np.arange(idx.size), idx] = 1.0
-        return out, idx
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit length, and their norms; a zero row raises."""
+    norms = np.linalg.norm(x, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroNormRow(f"cannot normalize zero embedding at row {zero[0]}")
+    return x / norms[:, None], norms
+
+
+def _forward(spec: EncoderSpec, params: EncoderParams, batch):
+    """Check the batch and the parameters, run the layers and normalize rows
+    when the spec asks. Returns (embeddings, checked batch, what the
+    backward pass needs, row norms or None)."""
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim == 1:
+        batch = batch[:, None]
+    if batch.ndim != 2 or batch.shape[1] != spec.n_in:
+        raise ValueError(f"batch shape {batch.shape}, spec wants (N, {spec.n_in})")
+    if params.shapes != spec.shape_table():
+        raise ValueError("params do not belong to this spec")
     weights = params.unflatten()
-    if spec.family == "frozen_table":
-        idx = _indices(spec, batch, spec.dims[0])
-        return weights["table"][idx].copy(), idx
-    if spec.family in ("linear", "affine"):
+    if spec.family == "one_hot":
+        cache = _indices(spec, batch, spec.n_e)
+        out = np.zeros((batch.shape[0], spec.n_e))
+        out[np.arange(cache.size), cache] = 1.0
+    elif spec.family == "frozen_table":
+        cache = _indices(spec, batch, spec.dims[0])
+        out = weights["table"][cache]
+    elif spec.family in ("linear", "affine"):
         out = batch @ weights["w0"].T
         if spec.family == "affine":
             out = out + weights["b0"]
-        return out, None
-    # mlp: cache each layer's input and pre-activation
-    x = batch
-    cache = []
-    n_layers = len(spec.dims) - 1
-    for i in range(n_layers):
-        z = x @ weights[f"w{i}"].T + weights[f"b{i}"]
-        cache.append((x, z))
-        if i < n_layers - 1:
-            x = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+        cache = None
+    else:
+        # mlp: cache each layer's input and pre-activation
+        out = batch
+        cache = []
+        n_layers = len(spec.dims) - 1
+        for i in range(n_layers):
+            z = out @ weights[f"w{i}"].T + weights[f"b{i}"]
+            cache.append((out, z))
+            if i < n_layers - 1:
+                out = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+            else:
+                out = z
+    norms = None
+    if spec.normalized:
+        out, norms = _unit_rows(out)
+    return out, batch, cache, norms
+
+
+def encode_with_vjp(spec: EncoderSpec, params: EncoderParams, batch):
+    """Embed a batch once; returns (e, vjp) where vjp(cotangent) is the
+    gradient of <cotangent, e> with respect to the flat parameter vector.
+
+    The pullback reuses the forward pass. one_hot has no parameters (empty
+    gradient). frozen_table gets the true table gradient (scatter-added over
+    rows); callers that treat the table as frozen simply never apply it.
+    """
+    out, batch, cache, norms = _forward(spec, params, batch)
+
+    def vjp(cotangent) -> np.ndarray:
+        cot = np.asarray(cotangent, dtype=np.float64)
+        if cot.shape != out.shape:
+            raise ValueError(f"cotangent shape {cot.shape}, expected {out.shape}")
+        if spec.family == "one_hot":
+            return np.zeros(0)
+        if norms is not None:
+            cot = (cot - out * np.sum(cot * out, axis=1, keepdims=True)) / norms[:, None]
+        grads = {name: np.zeros(shape) for name, shape in spec.shape_table()}
+        if spec.family == "frozen_table":
+            np.add.at(grads["table"], cache, cot)
+        elif spec.family in ("linear", "affine"):
+            grads["w0"] = cot.T @ batch
+            if spec.family == "affine":
+                grads["b0"] = cot.sum(axis=0)
         else:
-            x = z
-    return x, cache
+            weights = params.unflatten()
+            n_layers = len(spec.dims) - 1
+            delta = cot
+            for i in reversed(range(n_layers)):
+                x_in, z = cache[i]
+                if i < n_layers - 1:
+                    if spec.activation == "relu":
+                        delta = delta * (z > 0.0)
+                    else:
+                        delta = delta * (1.0 - np.tanh(z) ** 2)
+                grads[f"w{i}"] = delta.T @ x_in
+                grads[f"b{i}"] = delta.sum(axis=0)
+                if i > 0:
+                    delta = delta @ weights[f"w{i}"]
+        return np.concatenate([grads[name].ravel() for name, _ in spec.shape_table()])
+
+    return out, vjp
 
 
 def encode(spec: EncoderSpec, params: EncoderParams, batch) -> np.ndarray:
     """Embed a batch; rows are g(batch_i). Normalizes rows when asked."""
-    batch = _check_batch(spec, batch)
-    if params.shapes != spec.shape_table():
-        raise ValueError("params do not belong to this spec")
-    out, _ = _raw_forward(spec, params, batch)
-    if spec.normalized:
-        norms = np.linalg.norm(out, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ZeroNormRow(f"cannot normalize zero embedding at row {zero[0]}")
-        out = out / norms[:, None]
-    return out
+    return encode_with_vjp(spec, params, batch)[0]
 
 
 def encode_vjp(spec: EncoderSpec, params: EncoderParams, batch, cotangent) -> np.ndarray:
-    """Gradient of <cotangent, encode(spec, params, batch)> wrt the flat params.
-
-    one_hot has no parameters (empty gradient). frozen_table gets the true
-    table gradient (scatter-added over rows); callers that treat the table
-    as frozen simply never apply it.
-    """
-    batch = _check_batch(spec, batch)
-    cot = np.asarray(cotangent, dtype=np.float64)
-    if cot.shape != (batch.shape[0], spec.n_e):
-        raise ValueError(f"cotangent shape {cot.shape}, expected {(batch.shape[0], spec.n_e)}")
-    if params.shapes != spec.shape_table():
-        raise ValueError("params do not belong to this spec")
-    if spec.family == "one_hot":
-        return np.zeros(0)
-
-    out, cache = _raw_forward(spec, params, batch)
-    if spec.normalized:
-        norms = np.linalg.norm(out, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ZeroNormRow(f"cannot normalize zero embedding at row {zero[0]}")
-        unit = out / norms[:, None]
-        cot = (cot - unit * np.sum(cot * unit, axis=1, keepdims=True)) / norms[:, None]
-
-    weights = params.unflatten()
-    grads = {name: np.zeros(shape) for name, shape in spec.shape_table()}
-    if spec.family == "frozen_table":
-        np.add.at(grads["table"], cache, cot)
-    elif spec.family in ("linear", "affine"):
-        grads["w0"] = cot.T @ batch
-        if spec.family == "affine":
-            grads["b0"] = cot.sum(axis=0)
-    else:
-        n_layers = len(spec.dims) - 1
-        delta = cot
-        for i in reversed(range(n_layers)):
-            x_in, z = cache[i]
-            if i < n_layers - 1:
-                if spec.activation == "relu":
-                    delta = delta * (z > 0.0)
-                else:
-                    delta = delta * (1.0 - np.tanh(z) ** 2)
-            grads[f"w{i}"] = delta.T @ x_in
-            grads[f"b{i}"] = delta.sum(axis=0)
-            if i > 0:
-                delta = delta @ weights[f"w{i}"]
-    return np.concatenate([grads[name].ravel() for name, _ in spec.shape_table()])
+    """Gradient of <cotangent, encode(spec, params, batch)> wrt the flat params."""
+    return encode_with_vjp(spec, params, batch)[1](cotangent)
 
 
 @dataclass(frozen=True)

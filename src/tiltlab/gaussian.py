@@ -34,6 +34,7 @@ from .linalg import (
     svd_signed,
     sym_sqrt,
 )
+from .training import AdamState, adam_step
 
 
 @dataclass(frozen=True)
@@ -209,13 +210,14 @@ def minimizer_joint(g: BlockGaussian, r: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Adam settings for the rank-constrained one-sided solver."""
+    """Adam settings for the rank-constrained one-sided solver; the field
+    names match TrainConfig's, so training.adam_step takes it as its config."""
 
-    step_size: float = 1e-2
+    learning_rate: float = 1e-2
     max_iters: int = 5000
     grad_tol: float = 1e-8
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
+    adam_betas: tuple[float, float] = (0.9, 0.999)
+    adam_eps: float = 1e-8
 
 
 def minimizer_quadratic_onesided(
@@ -236,8 +238,9 @@ def minimizer_quadratic_onesided(
         Tr(M S) - log det(M S) + || (W)_r - W ||_F^2,
         M = B + C_uu^{-1},  S = C_{u|v},  W = M^{1/2} C_uv C_vv^{-1/2},
 
-    is minimized by Adam with an exact gradient (including the Frechet
-    derivative of the matrix square root). A*(r) = M^{1/2} (W)_r C_vv^{-1/2}.
+    is minimized by Adam (training.adam_step) with an exact gradient
+    (including the Frechet derivative of the matrix square root).
+    A*(r) = M^{1/2} (W)_r C_vv^{-1/2}.
     """
     cond = conditional_u_given_v(g)
     s_cond = cond.cov
@@ -261,7 +264,7 @@ def minimizer_quadratic_onesided(
     kept = np.clip(w_b[order], 0.0, None)
     g_mat = (np.sqrt(kept)[:, None] * q_b[:, order].T)
 
-    def objective_grad(gm: np.ndarray):
+    def gradient(gm: np.ndarray) -> np.ndarray:
         m = gm.T @ gm + c_uu_inv
         m = 0.5 * (m + m.T)
         lam, q = np.linalg.eigh(m)
@@ -273,13 +276,6 @@ def minimizer_quadratic_onesided(
         w = m_sqrt @ p
         uw, sw, vtw = np.linalg.svd(w, full_matrices=False)
         w_top = (uw[:, :r] * sw[:r]) @ vtw[:r, :]
-        tail = float(np.sum(sw[r:] ** 2))
-        val = (
-            float(np.trace(m @ s_cond))
-            - logdet_pd(m)
-            - logdet_pd(s_cond)
-            + tail
-        )
         # grad wrt M: S - M^{-1} + P P^T - sqrt-adjoint of 2 W_r P^T
         z = w_top @ p.T
         z = z + z.T  # = sym(2 W_r P^T) * 2 ... sym(2Z) = Z + Z^T
@@ -287,24 +283,17 @@ def minimizer_quadratic_onesided(
         adj = q @ (phi * (q.T @ z @ q)) @ q.T
         grad_m = s_cond - m_inv + p @ p.T - adj
         grad_m = 0.5 * (grad_m + grad_m.T)
-        return val, 2.0 * gm @ grad_m
+        return 2.0 * gm @ grad_m
 
     theta = g_mat.ravel().copy()
-    m1 = np.zeros_like(theta)
-    m2 = np.zeros_like(theta)
-    b1, b2 = cfg.betas
+    state = AdamState.zeros(theta.size)
     grad_norm = np.inf
-    for t in range(1, cfg.max_iters + 1):
-        _, grad = objective_grad(theta.reshape(r, g.n_x))
-        gflat = grad.ravel()
+    for _ in range(cfg.max_iters):
+        gflat = gradient(theta.reshape(r, g.n_x)).ravel()
         grad_norm = float(np.linalg.norm(gflat))
         if grad_norm <= cfg.grad_tol:
             break
-        m1 = b1 * m1 + (1 - b1) * gflat
-        m2 = b2 * m2 + (1 - b2) * gflat**2
-        hat1 = m1 / (1 - b1**t)
-        hat2 = m2 / (1 - b2**t)
-        theta = theta - cfg.step_size * hat1 / (np.sqrt(hat2) + cfg.eps)
+        theta, state = adam_step(theta, gflat, state, cfg)
     if grad_norm > cfg.grad_tol:
         raise SolverDidNotConverge(
             f"rank-{r} one-sided solver: gradient norm {grad_norm:.3e} after "

@@ -142,12 +142,14 @@ def chol_sample(mean: np.ndarray, cov: np.ndarray, n: int, rng: SeededRng) -> np
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    """JSON checkpoint sub-format: {rows, cols, data row-major}."""
+    """The package's one JSON matrix format, {rows, cols, data row-major},
+    used by run reports and embedding indexes."""
     m = as_matrix(m)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": [float(x) for x in m.ravel()]}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": m.ravel().tolist()}
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:
+    """Inverse of matrix_to_json; rejects data whose length is not rows x cols."""
     rows, cols = int(doc["rows"]), int(doc["cols"])
     data = np.asarray(doc["data"], dtype=np.float64)
     if data.size != rows * cols:

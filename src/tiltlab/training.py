@@ -4,8 +4,13 @@ The loop is a pure function of (config, data, initial parameters): epoch
 shuffles come from a counter-based stream keyed by (0, epoch) under the
 config seed, batches are consecutive slices of the shuffled index list, and
 each step backpropagates the chosen loss through the tilting scores into
-both encoders. Specs without trainable parameters (one_hot, frozen_table)
-pass through untouched.
+both encoders. Each side runs its forward pass once per step
+(encoders.encode_with_vjp) and its gradient reuses that pass. Specs without
+trainable parameters (one_hot, frozen_table) pass through untouched.
+
+adam_step is the package's one Adam update: train, crossmodal.fine_tune and
+the rank-constrained solver gaussian.minimizer_quadratic_onesided all call
+it. It keeps its moments in preallocated buffers that it updates in place.
 
 A step takes one of two paths, fixed by the loss variant:
   clip, cond, joint    losses.score_step, the tiled score-table kernel, for
@@ -31,8 +36,7 @@ from .encoders import (
     EncoderParams,
     EncoderSpec,
     TILTINGS,
-    encode,
-    encode_vjp,
+    encode_with_vjp,
     similarity_matrix,
     similarity_vjp,
 )
@@ -90,36 +94,58 @@ class TrainHistory:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
+    """Adam's moments and step count, plus two scratch vectors; adam_step
+    updates all of them in place, so a step allocates only the new
+    parameter vector."""
+
     m: np.ndarray
     v: np.ndarray
-    t: int
+    t: int = 0
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, self.m.size))
 
     @staticmethod
     def zeros(n: int) -> "AdamState":
-        return AdamState(m=np.zeros(n), v=np.zeros(n), t=0)
+        return AdamState(m=np.zeros(n), v=np.zeros(n))
 
 
-def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig):
-    """One bias-corrected Adam update; rejects a non-finite gradient, and a
-    finite one whose square or update overflows the moments or parameters."""
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, cfg):
+    """One bias-corrected Adam update; returns (new parameters, state).
+
+    cfg supplies learning_rate, adam_betas and adam_eps (a TrainConfig or a
+    gaussian.SolverConfig). The moments and step count of state advance in
+    place and params is left untouched. Rejects a non-finite gradient, and a
+    finite one whose square or update overflows the moments or parameters.
+    """
     grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("gradient contains nan or inf")
     b1, b2 = cfg.adam_betas
-    t = state.t + 1
+    state.t += 1
+    m, v, (a, b) = state.m, state.v, state.scratch
     with np.errstate(over="ignore", invalid="ignore"):
-        m = b1 * state.m + (1.0 - b1) * grad
-        v = b2 * state.v + (1.0 - b2) * grad**2
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1, out=a)
+        np.multiply(grad, grad, out=a)
+        v *= b2
+        v += np.multiply(a, 1.0 - b2, out=a)
+        # params - lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - b1**state.t, out=a)
+        a *= cfg.learning_rate
+        np.divide(v, 1.0 - b2**state.t, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.adam_eps
+        a /= b
+        new_params = params - a
     # v >= 0, so its maximum is finite exactly when all of v is; with v
     # finite, a non-finite m shows up in the parameters
     if v.size and not (np.isfinite(v.max()) and np.isfinite(new_params).all()):
         raise NonFiniteGradient("Adam moments or parameters overflowed")
-    return new_params, AdamState(m=m, v=v, t=t)
+    return new_params, state
 
 
 def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
@@ -176,8 +202,8 @@ def train(
         for step, idx in enumerate(epoch_batches(n, cfg.batch_size, cfg.seed, epoch)):
             u_batch = u_all[idx]
             v_batch = v_all[idx]
-            e_u = encode(spec_u, params_u, u_batch)
-            e_v = encode(spec_v, params_v, v_batch)
+            e_u, vjp_u = encode_with_vjp(spec_u, params_u, u_batch)
+            e_v, vjp_v = encode_with_vjp(spec_v, params_v, v_batch)
             if softmax_family:
                 value, cot_u, cot_v, shifted = score_step(
                     cfg.loss, e_u, e_v, cfg.tilting, cfg.tau, ws
@@ -190,12 +216,10 @@ def train(
             step_losses.append(value)
             try:
                 if spec_u.trainable:
-                    g_u = encode_vjp(spec_u, params_u, u_batch, cot_u)
-                    theta_u, state_u = adam_step(params_u.theta, g_u, state_u, cfg)
+                    theta_u, state_u = adam_step(params_u.theta, vjp_u(cot_u), state_u, cfg)
                     params_u = EncoderParams(theta_u, spec_u.shape_table())
                 if spec_v.trainable:
-                    g_v = encode_vjp(spec_v, params_v, v_batch, cot_v)
-                    theta_v, state_v = adam_step(params_v.theta, g_v, state_v, cfg)
+                    theta_v, state_v = adam_step(params_v.theta, vjp_v(cot_v), state_v, cfg)
                     params_v = EncoderParams(theta_v, spec_v.shape_table())
             except NonFiniteGradient as exc:
                 raise NonFiniteGradient(f"epoch {epoch}, step {step}: {exc}") from exc

@@ -431,7 +431,7 @@ def test_criterion_11_trajectory_retrieval_beats_chance():
     flow = datagen.draw_flow_config(1, root.split(2), dt=1e-3, t_final=1.0, record_stride=10)
     data = datagen.lagrangian_dataset(flow, 2500, root.split(3))
     n_train, n_total = 2000, 2500
-    feats = cli.torus_trajectory_features(data.v)
+    feats = datagen.torus_trajectory_features(data.v)
     coeff_dim = data.u.shape[1]
     spec_u = encoders.frozen_table_spec(n_total, coeff_dim, normalized=True)
     params_u = encoders.params_from_table(spec_u, data.u)

@@ -12,6 +12,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -145,6 +147,49 @@ class TestConfigErrors:
         }
         err = self.run_expecting_config_error(["run", write_config(tmp_path, doc)], capsys)
         assert "config.train.loss.kernel: expected an object" in err
+
+    @pytest.mark.parametrize(
+        "experiment, key, value, message",
+        [
+            ("closed-form", "gaussian", 5, "config.gaussian: expected an object"),
+            ("lagrangian", "flow", [1], "config.flow: expected an object"),
+            ("gaussian-gp", "gp", 3, "config.gp: expected an object"),
+            ("mnist", "mnist", 5, "config.mnist: expected an object"),
+            ("lagrangian", "flow", {"x0": 0.5}, "config.flow.x0: expected a pair of numbers"),
+            ("lagrangian", "flow", {"x0": [0.5, "a"]}, "config.flow.x0[1]: expected a number"),
+            ("mnist", "mnist", {"images": 3}, "config.mnist.images: expected a path"),
+            (
+                "mnist",
+                "mnist",
+                lambda idx: {"images": idx[0], "labels": idx[1], "test_images": idx[0]},
+                "config.mnist.test_labels: required when test_images is given",
+            ),
+        ],
+    )
+    def test_malformed_block(self, tmp_path, capsys, experiment, key, value, message):
+        # a 12-image IDX pair, so the mnist case gets past the missing-file skip
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        def header(*words):
+            return b"".join(w.to_bytes(4, "big") for w in words)
+
+        images.write_bytes(header(0x803, 12, 2, 2) + bytes(48))
+        labels.write_bytes(header(0x801, 12) + bytes(i % 10 for i in range(12)))
+        outdir = tmp_path / "o"
+        doc = {
+            "experiment": experiment,
+            "seed": 0,
+            "output_dir": str(outdir),
+            "train": {
+                "epochs": 1,
+                "batch_size": 4,
+                "learning_rate": 1e-3,
+                "loss": {"variant": "cond"},
+            },
+            key: value((str(images), str(labels))) if callable(value) else value,
+        }
+        err = self.run_expecting_config_error(["run", write_config(tmp_path, doc)], capsys)
+        assert message in err
+        assert not outdir.exists()
 
     def test_gaussian_block_not_positive_definite(self, tmp_path, capsys):
         doc = closed_form_doc(tmp_path / "o")
@@ -489,3 +534,18 @@ class TestVerify:
         captured = capsys.readouterr()
         assert rc == 1
         assert "unknown perturbation 'nope'" in captured.out
+
+
+def test_loading_the_cli_leaves_scipy_unimported():
+    # scipy is only the independent reference of verify's cross-entropy
+    # check, imported when that check runs; `tiltlab run` never pays for it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, tiltlab.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "False"

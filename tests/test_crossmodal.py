@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import softmax
+from scipy.special import logsumexp, softmax
 
 from tiltlab import crossmodal, encoders
 from tiltlab.crossmodal import (
@@ -11,7 +11,6 @@ from tiltlab.crossmodal import (
     classify,
     classify_finetuned,
     fine_tune,
-    fine_tune_loss,
     head_logits,
     recall_at_k,
     retrieve,
@@ -20,6 +19,19 @@ from tiltlab.errors import ZeroNormRow
 from tiltlab.losses import LossKind
 from tiltlab.rng import SeededRng
 from tiltlab.training import TrainConfig
+
+
+def fine_tune_loss(head: ClassifierHead, e_u, labels) -> float:
+    """The fine-tuning objective on a full batch of embeddings:
+    -mean_i logit_{i, y_i} + mean_i log sum_c pi_c exp(logit_ic), with pi the
+    batch's empirical label marginal."""
+    e_u = np.atleast_2d(np.asarray(e_u, dtype=np.float64))
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    logits = head_logits(head, e_u)
+    log_pi = np.full(head.f_bias.size, -np.inf)
+    present, counts = np.unique(y, return_counts=True)
+    log_pi[present] = np.log(counts / y.size)
+    return float(-np.mean(logits[np.arange(y.size), y]) + np.mean(logsumexp(logits + log_pi, axis=1)))
 
 
 class TestIndex:
@@ -52,6 +64,12 @@ class TestIndex:
         np.testing.assert_array_equal(back.items, idx.items)
         assert back.ids == idx.ids
         assert back.normalized == idx.normalized
+
+    def test_json_rejects_wrong_data_length(self):
+        doc = crossmodal.index_to_json(build_index(np.eye(2), ids=[0, 1], normalized=False))
+        doc["matrix"]["data"].pop()
+        with pytest.raises(ValueError, match="promises 2x2 but carries 3"):
+            crossmodal.index_from_json(doc)
 
 
 class TestRetrieve:
@@ -257,24 +275,3 @@ class TestFineTune:
         logits = head_logits(head, np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(logits, [[2.5, 3.5]], atol=1e-14)
 
-
-class TestRetrievalCsv:
-    def test_layout_and_scores(self, tmp_path):
-        items = np.array([[1.0, 0.0], [0.0, 1.0]])
-        idx = build_index(items, ids=["a", "b"], normalized=False)
-        path = tmp_path / "retr.csv"
-        crossmodal.write_retrieval_csv(path, ["q0"], [[2.0, 1.0]], idx, k=2)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "query_id,rank,item_id,score"
-        assert lines[1] == "q0,1,a,2"
-        assert lines[2] == "q0,2,b,1"
-
-    def test_deterministic_bytes(self, tmp_path):
-        rng = SeededRng(13)
-        items = rng.split(0).standard_normal((6, 3))
-        queries = rng.split(1).standard_normal((2, 3))
-        idx = build_index(items, ids=list(range(6)))
-        p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        crossmodal.write_retrieval_csv(p1, [0, 1], queries, idx, k=3)
-        crossmodal.write_retrieval_csv(p2, [0, 1], queries, idx, k=3)
-        assert p1.read_bytes() == p2.read_bytes()

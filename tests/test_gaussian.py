@@ -355,6 +355,54 @@ class TestQuadraticMinimizer:
         with pytest.raises(SolverDidNotConverge):
             gaussian.minimizer_quadratic_onesided(g, r=2, solver=tight)
 
+    @staticmethod
+    def inline_adam_rank_r(g, r, cfg):
+        """The rank-r solver with its own Adam loop written out, as the
+        solver ran before it shared training.adam_step; the reference for
+        the bit-for-bit check below."""
+        s_cond = gaussian.conditional_u_given_v(g).cov
+        c_uu_inv = linalg.inv_pd(g.c_uu)
+        b_star = linalg.solve_pd(s_cond, np.eye(g.n_x)) - c_uu_inv
+        b_star = 0.5 * (b_star + b_star.T)
+        p = g.c_uv @ linalg.inv_sym_sqrt(g.c_vv)
+        w_b, q_b = np.linalg.eigh(b_star)
+        order = np.argsort(w_b)[::-1][:r]
+        theta = (np.sqrt(np.clip(w_b[order], 0.0, None))[:, None] * q_b[:, order].T).ravel()
+
+        def grad(gm):
+            m = gm.T @ gm + c_uu_inv
+            lam, q = np.linalg.eigh(0.5 * (m + m.T))
+            sq = np.sqrt(lam)
+            w = ((q * sq) @ q.T) @ p
+            uw, sw, vtw = np.linalg.svd(w, full_matrices=False)
+            z = ((uw[:, :r] * sw[:r]) @ vtw[:r, :]) @ p.T
+            z = z + z.T
+            adj = q @ ((1.0 / (sq[:, None] + sq[None, :])) * (q.T @ z @ q)) @ q.T
+            grad_m = s_cond - (q / lam) @ q.T + p @ p.T - adj
+            return 2.0 * gm @ (0.5 * (grad_m + grad_m.T))
+
+        m1 = np.zeros_like(theta)
+        m2 = np.zeros_like(theta)
+        b1, b2 = cfg.adam_betas
+        for t in range(1, cfg.max_iters + 1):
+            gflat = grad(theta.reshape(r, g.n_x)).ravel()
+            if float(np.linalg.norm(gflat)) <= cfg.grad_tol:
+                break
+            m1 = b1 * m1 + (1 - b1) * gflat
+            m2 = b2 * m2 + (1 - b2) * gflat**2
+            hat1 = m1 / (1 - b1**t)
+            hat2 = m2 / (1 - b2**t)
+            theta = theta - cfg.learning_rate * hat1 / (np.sqrt(hat2) + cfg.adam_eps)
+        gm = theta.reshape(r, g.n_x)
+        return 0.5 * (gm.T @ gm + (gm.T @ gm).T)
+
+    @pytest.mark.parametrize("seed, r", [(27, 1), (28, 2)])
+    def test_shared_adam_matches_inline_loop_bitwise(self, seed, r):
+        g = random_blocks(seed, 4, 3)
+        cfg = gaussian.SolverConfig()
+        q = gaussian.minimizer_quadratic_onesided(g, r=r, solver=cfg)
+        np.testing.assert_array_equal(q.b, self.inline_adam_rank_r(g, r, cfg))
+
     def test_rank_zero(self):
         g = random_blocks(26, 2, 2)
         q = gaussian.minimizer_quadratic_onesided(g, r=0)

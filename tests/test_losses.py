@@ -74,8 +74,10 @@ class TestClipAndCond:
             assert abs(fd - an) <= 1e-7 * max(abs(fd), abs(an), 1e-8)
 
     def test_grad_clip_matches_fd(self):
+        # the clip gradient is the (1, 1) cond gradient: the log N offset
+        # of loss_clip is constant in s
         s = random_scores(5, 4)
-        g = losses.grad_clip(s)
+        g = losses.grad_cond(s, 1.0, 1.0)
         rng = SeededRng(6)
         step = 1e-6
         for probe in range(5):

@@ -99,6 +99,20 @@ class TestAdam:
         np.testing.assert_allclose(p, p_ref, atol=1e-14)
         assert st.t == 2
 
+    def test_params_left_unchanged_and_state_updated_in_place(self):
+        cfg = small_config(learning_rate=0.1)
+        params = np.array([1.0, -2.0, 0.5])
+        state = AdamState.zeros(3)
+        m, v = state.m, state.v
+        for grad in (np.array([0.5, -4.0, 1.0]), np.array([-0.25, 2.0, 3.0])):
+            before = params.copy()
+            new, out = adam_step(params, grad, state, cfg)
+            np.testing.assert_array_equal(params, before)
+            assert new is not params
+            assert out is state and out.m is m and out.v is v
+            params = new
+        assert state.t == 2
+
     def test_rejects_nan_gradient(self):
         cfg = small_config()
         with pytest.raises(NonFiniteGradient):
@@ -156,6 +170,26 @@ class TestTrainLoop:
             np.testing.assert_allclose(pu.theta, params_u.theta, atol=1e-12)
             np.testing.assert_allclose(pv.theta, params_v.theta, atol=1e-12)
             assert hist.losses[0] == pytest.approx(np.mean(losses_ref), abs=1e-12)
+
+    def test_one_forward_per_side_per_step(self, monkeypatch):
+        # the gradient reuses the step's forward pass instead of running it again
+        calls = []
+        forward = encoders._forward
+
+        def counting(spec, params, batch):
+            calls.append(spec.family)
+            return forward(spec, params, batch)
+
+        monkeypatch.setattr(encoders, "_forward", counting)
+        data = toy_data(9, 40)
+        spec_u = encoders.mlp_spec([1, 5, 2], activation="tanh")
+        spec_v = encoders.linear_spec(1, 2)
+        pu = encoders.init_params(spec_u, SeededRng(11).split(0))
+        pv = encoders.init_params(spec_v, SeededRng(11).split(1))
+        cfg = small_config(epochs=1, batch_size=16)
+        train(cfg, data, spec_u, spec_v, pu, pv)
+        steps = len(epoch_batches(40, 16, cfg.seed, 0))
+        assert calls == ["mlp", "linear"] * steps
 
     @pytest.mark.parametrize("variant", ["clip", "cond", "joint"])
     def test_shifted_steps_counted_per_epoch(self, variant):

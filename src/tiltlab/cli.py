@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,192 +30,184 @@ EXPERIMENTS = ("closed-form", "gaussian2d", "gaussian-gp", "mnist", "lagrangian"
 # config loading
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return doc[key]
+REQUIRED = object()  # the default of a field that must be given
 
 
-def _block(doc: dict, key: str, path: str, default=None) -> dict:
-    """doc[key] as a JSON object; required when no default is given."""
-    value = _require(doc, key, path) if default is None else doc.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}.{key}: expected an object")
+@dataclasses.dataclass(frozen=True)
+class Field:
+    path: str
+    kind: str  # a key of KINDS
+    bound: object = None
+    default: object = None
+    read_by: tuple | None = None  # experiments that read a top-level field; None: all
+
+
+# Every field `tiltlab run` reads, its check, default and bound written once.
+# bound is the least value of an int, the admissible values of a str, or the
+# constructor that builds an object from its fields and checks them
+# together. An absent field without a default is left out, so the object
+# built from its block keeps its own.
+FIELDS = (
+    Field("experiment", "str", EXPERIMENTS, REQUIRED),
+    Field("seed", "int", 0, REQUIRED),
+    Field("output_dir", "path"),
+    Field("sweep", "object", default={}),
+    Field("sweep.embedding_dims", "ints", 1, [1]),
+    Field("sweep.batch_sizes", "ints", 2, [64]),
+    Field("sweep.sample_sizes", "ints", 1, [2000]),
+    Field("gaussian", "object", gaussian.BlockGaussian, {}),
+    Field("gaussian.c_uu", "matrix", default=[[1.5]]),
+    Field("gaussian.c_uv", "matrix", default=[[1.0]]),
+    Field("gaussian.c_vv", "matrix", default=[[1.5]]),
+    Field("train", "object", default=REQUIRED, read_by=EXPERIMENTS[1:]),
+    Field("train.epochs", "int", 1, REQUIRED),
+    Field("train.batch_size", "int", default=REQUIRED),
+    Field("train.learning_rate", "number", default=REQUIRED),
+    Field("train.tau", "number", default=1.0),
+    Field("train.tilting", "str", default=encoders.TILTING_INNER),
+    Field("train.loss", "object", losses.LossKind, REQUIRED),
+    Field("train.loss.variant", "str", default=REQUIRED),
+    Field("train.loss.lam_u", "number"),
+    Field("train.loss.lam_v", "number"),
+    Field("train.loss.kernel", "object", losses.Kernel),
+    Field("train.loss.kernel.family", "str", default=REQUIRED),
+    Field("train.loss.kernel.bandwidth", "number"),
+    Field("train.loss.kernel.degree", "int"),
+    Field("train.loss.kernel.offset", "number"),
+    Field("gp", "object", datagen.GpConfig, {}, ("gaussian-gp",)),
+    Field("gp.tau_inv_length", "number"),
+    Field("gp.alpha", "number"),
+    Field("gp.n_modes", "int"),
+    Field("gp.grid_points", "int"),
+    Field("gp.noise_sigma", "number"),
+    Field("gp.n_coeffs", "int"),
+    Field("flow", "object", default={}, read_by=("lagrangian",)),
+    Field("flow.m", "int", 0, 1),
+    Field("flow.dt", "number", default=1e-3),
+    Field("flow.t_final", "number", default=0.5),
+    Field("flow.record_stride", "int", default=10),
+    Field("flow.x0", "pair", default=[0.5, 0.5]),
+    Field("heldout", "int", 1, 500, ("lagrangian",)),
+    Field("hidden", "int", 1, 256, ("lagrangian",)),
+    Field("hidden", "int", 1, 128, ("mnist",)),
+    Field("mnist", "object", default={}, read_by=("mnist",)),
+    Field("mnist.images", "path", default=REQUIRED),
+    Field("mnist.labels", "path", default=REQUIRED),
+    Field("mnist.test_images", "path"),
+    Field("mnist.test_labels", "path"),
+)
+
+# JSON kind: (the Python types of its values, what a message calls it)
+KINDS = {
+    "int": (int, "an integer"),
+    "number": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "path": (str, "a path"),
+    "object": (dict, "an object"),
+    "ints": (list, "a nonempty list"),
+    "pair": (list, "a pair of numbers"),
+    "matrix": (list, "a list of rows"),
+    "row": (list, "a list of numbers"),
+}
+ITEMS = {"ints": "int", "pair": "number", "matrix": "row", "row": "number"}
+
+
+def _checked(kind: str, bound, value, where: str):
+    """value as a JSON value of kind within bound; numbers must be finite
+    and come back as floats, lists are checked item by item."""
+    types, noun = KINDS[kind]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, types)
+        or (kind in ("ints", "path") and not value)
+        or (kind == "pair" and len(value) != 2)
+    ):
+        raise ConfigError(f"{where}: expected {noun}, got {value!r}")
+    if kind in ITEMS:
+        return [_checked(ITEMS[kind], bound, x, f"{where}[{i}]") for i, x in enumerate(value)]
+    if kind == "number":
+        if not abs(value) <= sys.float_info.max:  # NaN, infinite, or no float holds it
+            raise ConfigError(f"{where}: must be finite, got {value!r}")
+        return float(value)
+    if kind == "int" and bound is not None and value < bound:
+        raise ConfigError(f"{where}: must be >= {bound}")
+    if kind == "str" and bound is not None and value not in bound:
+        raise ConfigError(f"{where}: unknown {where.rpartition('.')[2]} {value!r}")
     return value
 
 
-def _as_int(value, path: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_matrix(value, path: str) -> np.ndarray:
+def _built(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its complaint about a value a config error at where."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric matrix ({exc})") from exc
-    if arr.ndim != 2:
-        raise ConfigError(f"{path}: expected a 2-d matrix")
-    return arr
+        return make(*args, **kwargs)
+    except (ValueError, ArithmeticError, TiltlabError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _int_list(doc: dict, key: str, path: str, default: list) -> list:
-    raw = doc.get(key, default)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}.{key}: expected a nonempty list")
-    return [_as_int(x, f"{path}.{key}[{i}]", minimum=1) for i, x in enumerate(raw)]
-
-
-def _build_loss(doc: dict, path: str) -> losses.LossKind:
-    variant = _require(doc, "variant", path)
-    kernel = None
-    if "kernel" in doc:
-        kdoc = _block(doc, "kernel", path)
-        try:
-            kernel = losses.Kernel(
-                family=_require(kdoc, "family", f"{path}.kernel"),
-                bandwidth=_as_number(kdoc.get("bandwidth", 1.0), f"{path}.kernel.bandwidth"),
-                degree=_as_int(kdoc.get("degree", 2), f"{path}.kernel.degree", minimum=1),
-                offset=_as_number(kdoc.get("offset", 1.0), f"{path}.kernel.offset"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}.kernel: {exc}") from exc
-    try:
-        return losses.LossKind(
-            variant=variant,
-            lam_u=_as_number(doc.get("lam_u", 1.0), f"{path}.lam_u"),
-            lam_v=_as_number(doc.get("lam_v", 1.0), f"{path}.lam_v"),
-            kernel=kernel,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _build_train(doc: dict, seed: int, path: str) -> training.TrainConfig:
-    try:
-        return training.TrainConfig(
-            seed=seed,
-            epochs=_as_int(_require(doc, "epochs", path), f"{path}.epochs", minimum=1),
-            batch_size=_as_int(_require(doc, "batch_size", path), f"{path}.batch_size", minimum=2),
-            learning_rate=_as_number(_require(doc, "learning_rate", path), f"{path}.learning_rate"),
-            tau=_as_number(doc.get("tau", 1.0), f"{path}.tau"),
-            loss=_build_loss(_block(doc, "loss", path), f"{path}.loss"),
-            tilting=doc.get("tilting", encoders.TILTING_INNER),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _read(block: dict, path: str, experiment) -> dict:
+    """The fields of block, the JSON object at path ("" for the top level),
+    checked against FIELDS; blocks with a constructor come back built."""
+    prefix = f"{path}." if path else ""
+    rows = [f for f in FIELDS if f.path.rpartition(".")[0] == path]
+    for key in block:
+        if not any(f.path == prefix + key for f in rows):
+            raise ConfigError(f"config.{prefix}{key}: unknown field")
+    out = {}
+    for f in rows:
+        key, where = f.path[len(prefix) :], f"config.{f.path}"
+        if f.read_by and experiment not in f.read_by:
+            continue
+        if key not in block and f.default is REQUIRED:
+            raise ConfigError(f"{where}: missing required field")
+        if key not in block and f.default is None:
+            continue
+        value = _checked(f.kind, f.bound, block.get(key, f.default), where)
+        if f.kind == "object":
+            value = _read(value, f.path, experiment)
+            value = _built(where, f.bound, **value) if f.bound else value
+        out[key] = value
+    return out
 
 
 class RunPlan:
-    """Validated config, ready to execute."""
+    """A checked config and the objects built from it, ready to execute."""
 
     def __init__(self, doc: dict, seed_override, outdir_override):
         if not isinstance(doc, dict):
             raise ConfigError("top level: expected a JSON object")
-        self.experiment = _require(doc, "experiment", "config")
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"config.experiment: unknown experiment {self.experiment!r}")
-        seed = seed_override if seed_override is not None else _require(doc, "seed", "config")
-        self.seed = _as_int(seed, "config.seed", minimum=0)
-        outdir = outdir_override or doc.get("output_dir")
-        if not outdir:
+        doc = dict(doc)
+        if seed_override is not None:
+            doc["seed"] = seed_override
+        if outdir_override:
+            doc["output_dir"] = outdir_override
+        cfg = _read(doc, "", doc.get("experiment"))
+        if "output_dir" not in cfg:
             raise ConfigError("config.output_dir: missing (or pass --output-dir)")
-        self.output_dir = str(outdir)
-        sweep = _block(doc, "sweep", "config", {})
-        self.sweep = {
-            "embedding_dims": _int_list(sweep, "embedding_dims", "config.sweep", [1]),
-            "batch_sizes": _int_list(sweep, "batch_sizes", "config.sweep", [64]),
-            "sample_sizes": _int_list(sweep, "sample_sizes", "config.sweep", [2000]),
-        }
-
-        gdoc = _block(
-            doc, "gaussian", "config", {"c_uu": [[1.5]], "c_uv": [[1.0]], "c_vv": [[1.5]]}
-        )
-        try:
-            self.blocks = gaussian.BlockGaussian(
-                _as_matrix(_require(gdoc, "c_uu", "config.gaussian"), "config.gaussian.c_uu"),
-                _as_matrix(_require(gdoc, "c_uv", "config.gaussian"), "config.gaussian.c_uv"),
-                _as_matrix(_require(gdoc, "c_vv", "config.gaussian"), "config.gaussian.c_vv"),
-            )
-        except (ValueError, TiltlabError) as exc:
-            raise ConfigError(f"config.gaussian: {exc}") from exc
-
-        self.train = None
-        if self.experiment != "closed-form":
-            self.train = _build_train(_block(doc, "train", "config"), self.seed, "config.train")
-
-        if self.experiment == "gaussian-gp":
-            gp = _block(doc, "gp", "config", {})
-            try:
-                self.gp = datagen.GpConfig(
-                    tau_inv_length=_as_number(gp.get("tau_inv_length", 3.0), "config.gp.tau_inv_length"),
-                    alpha=_as_number(gp.get("alpha", 2.0), "config.gp.alpha"),
-                    n_modes=_as_int(gp.get("n_modes", 1000), "config.gp.n_modes", minimum=1),
-                    grid_points=_as_int(gp.get("grid_points", 12), "config.gp.grid_points", minimum=1),
-                    noise_sigma=_as_number(gp.get("noise_sigma", 0.05), "config.gp.noise_sigma"),
-                    n_coeffs=_as_int(gp.get("n_coeffs", 5), "config.gp.n_coeffs", minimum=1),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"config.gp: {exc}") from exc
-
-        if self.experiment == "lagrangian":
-            flow = _block(doc, "flow", "config", {})
-            self.flow_m = _as_int(flow.get("m", 1), "config.flow.m", minimum=0)
-            self.flow_dt = _as_number(flow.get("dt", 1e-3), "config.flow.dt")
-            self.flow_t_final = _as_number(flow.get("t_final", 0.5), "config.flow.t_final")
-            self.flow_stride = _as_int(flow.get("record_stride", 10), "config.flow.record_stride", minimum=1)
-            x0 = flow.get("x0", [0.5, 0.5])
-            if not isinstance(x0, list) or len(x0) != 2:
-                raise ConfigError(f"config.flow.x0: expected a pair of numbers, got {x0!r}")
-            self.flow_x0 = tuple(_as_number(c, f"config.flow.x0[{i}]") for i, c in enumerate(x0))
-            self.heldout = _as_int(doc.get("heldout", 500), "config.heldout", minimum=1)
-            self.hidden = _as_int(doc.get("hidden", 256), "config.hidden", minimum=1)
-            try:
-                datagen.FlowConfig(
-                    m=self.flow_m,
-                    omega=tuple(np.zeros((2 * self.flow_m + 1) ** 2)),
-                    x0=self.flow_x0,
-                    dt=self.flow_dt,
-                    t_final=self.flow_t_final,
-                    record_stride=self.flow_stride,
-                )
-            except ValueError as exc:
-                raise ConfigError(f"config.flow: {exc}") from exc
-
-        if self.experiment == "mnist":
-            m = _block(doc, "mnist", "config", {})
-            self.mnist_paths = {
-                k: m.get(k)
-                for k in ("images", "labels", "test_images", "test_labels")
-            }
-            for k, v in self.mnist_paths.items():
-                if v is not None and not isinstance(v, str):
-                    raise ConfigError(f"config.mnist.{k}: expected a path, got {v!r}")
-            if self.mnist_paths["test_images"] and not self.mnist_paths["test_labels"]:
-                raise ConfigError("config.mnist.test_labels: required when test_images is given")
-            self.hidden = _as_int(doc.get("hidden", 128), "config.hidden", minimum=1)
-
+        self.experiment, self.seed = cfg["experiment"], cfg["seed"]
+        self.output_dir, self.sweep, self.blocks = cfg["output_dir"], cfg["sweep"], cfg["gaussian"]
+        root = _built("config.seed", SeededRng, self.seed)
+        if self.experiment == "gaussian2d" and (self.blocks.n_x, self.blocks.n_y) != (1, 1):
+            raise ConfigError("config.gaussian: gaussian2d expects 1-d u and v blocks")
+        self.train = self.flow = None
+        if "train" in cfg:
+            self.train = _built("config.train", training.TrainConfig, seed=self.seed, **cfg["train"])
+        if "flow" in cfg:
+            self.flow = _built("config.flow", datagen.draw_flow_config, rng=root.split(2), **cfg["flow"])
+        self.gp, self.heldout, self.hidden = cfg.get("gp"), cfg.get("heldout"), cfg.get("hidden")
+        self.mnist_paths = paths = cfg.get("mnist", {})
+        if "test_images" in paths and "test_labels" not in paths:
+            raise ConfigError("config.mnist.test_labels: required when test_images is given")
         self.echo = {k: v for k, v in doc.items() if k != "output_dir"}
-        self.echo["seed"] = self.seed
 
 
 def load_plan(config_path, seed_override=None, outdir_override=None) -> RunPlan:
     try:
         with open(config_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{config_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or an integer too long to parse
+        raise ConfigError(f"{config_path}: {exc}") from exc
     return RunPlan(doc, seed_override, outdir_override)
 
 
@@ -329,8 +322,6 @@ def _gaussian_density(cov: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _run_gaussian2d(plan: RunPlan):
     g = plan.blocks
-    if g.n_x != 1 or g.n_y != 1:
-        raise ConfigError("config.gaussian: gaussian2d expects 1-d u and v blocks")
     a_cond = gaussian.minimizer_cond(g)
     a_joint = gaussian.minimizer_joint(g)
     quad = gaussian.minimizer_quadratic_onesided(g)
@@ -408,15 +399,7 @@ def _run_gaussian_gp(plan: RunPlan):
         for batch in plan.sweep["batch_sizes"]:
             for n_e in plan.sweep["embedding_dims"]:
                 data = datagen.gp_modality_pair(plan.gp, n, root.split(1, idx))
-                cfg = training.TrainConfig(
-                    seed=plan.seed,
-                    epochs=plan.train.epochs,
-                    batch_size=batch,
-                    learning_rate=plan.train.learning_rate,
-                    tau=plan.train.tau,
-                    loss=plan.train.loss,
-                    tilting=plan.train.tilting,
-                )
+                cfg = dataclasses.replace(plan.train, batch_size=batch)
                 spec_u, spec_v, init_u, init_v = _linear_pair_inits(
                     plan.gp.grid_points, plan.gp.n_coeffs, n_e, plan.seed, idx
                 )
@@ -447,8 +430,6 @@ def _run_gaussian_gp(plan: RunPlan):
 
 def _run_mnist(plan: RunPlan):
     paths = plan.mnist_paths
-    if not paths.get("images") or not paths.get("labels"):
-        raise ConfigError("config.mnist: images and labels paths are required")
     missing = [
         p for p in (paths["images"], paths["labels"]) if not os.path.exists(p)
     ]
@@ -539,17 +520,9 @@ def _run_mnist(plan: RunPlan):
 
 def _run_lagrangian(plan: RunPlan):
     root = SeededRng(plan.seed)
-    flow = datagen.draw_flow_config(
-        plan.flow_m,
-        root.split(2),
-        x0=plan.flow_x0,
-        dt=plan.flow_dt,
-        t_final=plan.flow_t_final,
-        record_stride=plan.flow_stride,
-    )
     n_train = plan.sweep["sample_sizes"][0]
     n_total = n_train + plan.heldout
-    data = datagen.lagrangian_dataset(flow, n_total, root.split(3))
+    data = datagen.lagrangian_dataset(plan.flow, n_total, root.split(3))
     coeff_dim = data.u.shape[1]
     feats = datagen.torus_trajectory_features(data.v)
 
@@ -858,14 +831,11 @@ def main(argv=None) -> int:
         os.makedirs(plan.output_dir, exist_ok=True)
         if not os.access(plan.output_dir, os.W_OK):
             raise ConfigError(f"config.output_dir: {plan.output_dir} is not writable")
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: output_dir cannot be made
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         RUNNERS[plan.experiment](plan)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (TiltlabError, ValueError, OSError) as exc:
         print(f"runtime error in {plan.experiment}: {exc}", file=sys.stderr)
         return 1

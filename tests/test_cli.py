@@ -7,6 +7,7 @@ here we only spot-check a few closed-form values that the runner is
 supposed to pass through unchanged.
 """
 
+import copy
 import csv
 import hashlib
 import json
@@ -14,9 +15,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltlab import cli
 
@@ -40,6 +44,16 @@ def expected_hash(doc, seed):
     echo["seed"] = seed
     blob = json.dumps(echo, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def train_block(**extra):
+    return {
+        "epochs": 1,
+        "batch_size": 4,
+        "learning_rate": 1e-3,
+        "loss": {"variant": "cond"},
+        **extra,
+    }
 
 
 def read_report(outdir):
@@ -164,6 +178,20 @@ class TestConfigErrors:
                 lambda idx: {"images": idx[0], "labels": idx[1], "test_images": idx[0]},
                 "config.mnist.test_labels: required when test_images is given",
             ),
+            ("gaussian2d", "train", train_block(tau=math.inf), "config.train.tau: must be finite"),
+            (
+                "gaussian2d",
+                "train",
+                train_block(loss={"variant": "cond", "lam_u": math.nan}),
+                "config.train.loss.lam_u: must be finite",
+            ),
+            ("gaussian2d", "train", train_block(tua=0.5), "config.train.tua: unknown field"),
+            (
+                "closed-form",
+                "gaussian",
+                {"c_uu": [["a"]], "c_uv": [[1.0]], "c_vv": [[1.5]]},
+                "config error: config.gaussian.c_uu[0][0]: expected a number",
+            ),
         ],
     )
     def test_malformed_block(self, tmp_path, capsys, experiment, key, value, message):
@@ -190,6 +218,40 @@ class TestConfigErrors:
         err = self.run_expecting_config_error(["run", write_config(tmp_path, doc)], capsys)
         assert message in err
         assert not outdir.exists()
+
+    def test_gaussian2d_needs_1d_blocks(self, tmp_path, capsys):
+        outdir = tmp_path / "o"
+        doc = {
+            "experiment": "gaussian2d",
+            "seed": 0,
+            "output_dir": str(outdir),
+            "gaussian": {"c_uu": [[1.0, 0.0], [0.0, 1.0]], "c_uv": [[0.0], [0.0]]},
+            "train": train_block(),
+        }
+        err = self.run_expecting_config_error(["run", write_config(tmp_path, doc)], capsys)
+        assert "config error: config.gaussian: gaussian2d expects 1-d u and v blocks" in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("in_config", [True, False])
+    def test_seed_beyond_64_bits(self, tmp_path, capsys, in_config):
+        outdir = tmp_path / "o"
+        doc = closed_form_doc(outdir, seed=2**70 if in_config else 0)
+        argv = ["run", write_config(tmp_path, doc)] + ([] if in_config else ["--seed", str(2**64)])
+        err = self.run_expecting_config_error(argv, capsys)
+        assert err.startswith("config error: config.seed: ")
+        assert not outdir.exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        err = self.run_expecting_config_error(["run", str(path)], capsys)
+        assert f"{path}: " in err
+
+    def test_output_dir_cannot_be_made(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        doc = closed_form_doc(tmp_path / "file" / "out")
+        err = self.run_expecting_config_error(["run", write_config(tmp_path, doc)], capsys)
+        assert str(tmp_path / "file" / "out") in err
 
     def test_gaussian_block_not_positive_definite(self, tmp_path, capsys):
         doc = closed_form_doc(tmp_path / "o")
@@ -508,6 +570,101 @@ class TestMnist:
         captured = capsys.readouterr()
         assert rc == 2
         assert "config error: config.mnist" in captured.err
+        assert not (tmp_path / "out").exists()
+
+
+def valid_configs():
+    """One small config per experiment that RunPlan accepts."""
+    train = train_block(loss={"variant": "cond_mmd", "kernel": {"family": "gaussian"}})
+    base = {"seed": 3, "output_dir": "o", "sweep": {"sample_sizes": [8]}, "train": train}
+    return [
+        {**base, "experiment": "closed-form", "gaussian": {"c_uu": [[2.0]], "c_uv": [[0.5]]}},
+        {**base, "experiment": "gaussian2d", "train": train_block(tau=0.5, tilting="l2_distance")},
+        {**base, "experiment": "gaussian-gp", "gp": {"n_modes": 20, "grid_points": 4}},
+        {**base, "experiment": "mnist", "hidden": 4, "mnist": {"images": "i", "labels": "l"}},
+        {
+            **base,
+            "experiment": "lagrangian",
+            "heldout": 4,
+            "flow": {"m": 1, "dt": 0.01, "t_final": 0.1, "x0": [0.25, 0.5]},
+        },
+    ]
+
+
+# integers stay small (flow.m sizes an allocation) apart from a few past
+# the 64-bit and float ranges
+EDGE_VALUES = [
+    *(None, True, 0, -1, 3, 2**64, -(2**70), 10**400),
+    *(0.0, 5e-324, 1e308, -1.5, math.nan, math.inf),
+    *("", "cond", [], [1], [[1.0]], {}),
+]
+JSON_VALUES = st.recursive(
+    st.sampled_from(EDGE_VALUES) | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+DELETE = object()
+
+
+def json_paths(doc, at=()):
+    """Every path into doc below its root, as tuples of keys and indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield at + (key,)
+        yield from json_paths(value, at + (key,))
+
+
+def mutated(base, path, value):
+    """A copy of base with the entry at path set to value, or deleted."""
+    doc = copy.deepcopy(base)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated_configs(draw):
+    base = draw(st.sampled_from(valid_configs()))
+    path = draw(st.sampled_from(list(json_paths(base))))
+    return mutated(base, path, draw(st.just(DELETE) | JSON_VALUES))
+
+
+def build_or_config_error(doc):
+    try:
+        cli.RunPlan(doc, None, None)
+    except cli.ConfigError:
+        pass
+
+
+class TestConfigSchema:
+    """RunPlan either builds a plan or raises ConfigError, whatever the JSON."""
+
+    def test_valid_configs_build(self):
+        for doc in valid_configs():
+            assert cli.RunPlan(doc, None, None).experiment == doc["experiment"]
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(JSON_VALUES | mutated_configs())
+    def test_any_json_or_mutated_config(self, doc):
+        build_or_config_error(doc)
+
+    def test_every_entry_deleted_or_at_edge_values(self):
+        for base in valid_configs():
+            for path in json_paths(base):
+                for value in [DELETE, *EDGE_VALUES]:
+                    build_or_config_error(mutated(base, path, value))
+
+    def test_readme_cli_example_builds(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## CLI", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        doc = json.loads(example)
+        plan = cli.RunPlan(doc, None, None)
+        assert (plan.experiment, plan.train.epochs) == (doc["experiment"], doc["train"]["epochs"])
 
 
 class TestVerify:

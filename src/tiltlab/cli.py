@@ -430,16 +430,14 @@ def _run_gaussian_gp(plan: RunPlan):
 
 def _run_mnist(plan: RunPlan):
     paths = plan.mnist_paths
-    missing = [
-        p for p in (paths["images"], paths["labels"]) if not os.path.exists(p)
-    ]
+    missing = [p for p in paths.values() if not os.path.exists(p)]
     if missing:
         # dataset files are inputs, not part of the build; note and bow out
         _write_report(plan, {"skipped": f"missing MNIST files: {missing}"}, [])
         print(f"mnist: skipped (missing files: {missing})")
         return
     images, labels = datagen.mnist_load(paths["images"], paths["labels"])
-    if paths.get("test_images") and os.path.exists(paths["test_images"]):
+    if "test_images" in paths:
         test_images, test_labels = datagen.mnist_load(paths["test_images"], paths["test_labels"])
     else:
         split = max(1, images.shape[0] // 6)
@@ -778,29 +776,17 @@ VERIFY_CHECKS = [
 ]
 
 
-def verify(perturb: str | None = None) -> int:
+def verify() -> int:
     """Run the analytic self-check suite; one line per check."""
-    restore = None
-    if perturb == "shrinkage_h":
-        original = gaussian.shrinkage_h
-        gaussian.shrinkage_h = lambda sigma: original(sigma) * 1.001
-        restore = ("shrinkage_h", original)
-    elif perturb is not None:
-        print(f"unknown perturbation {perturb!r}")
-        return 1
     failed = []
-    try:
-        for name, fn in VERIFY_CHECKS:
-            try:
-                fn()
-            except Exception as exc:  # noqa: BLE001 -- report, don't crash
-                print(f"FAIL {name}: {exc}")
-                failed.append(name)
-            else:
-                print(f"PASS {name}")
-    finally:
-        if restore is not None:
-            gaussian.shrinkage_h = restore[1]
+    for name, fn in VERIFY_CHECKS:
+        try:
+            fn()
+        except Exception as exc:  # noqa: BLE001 -- report, don't crash
+            print(f"FAIL {name}: {exc}")
+            failed.append(name)
+        else:
+            print(f"PASS {name}")
     if failed:
         print(f"verify failed: first failing check is {failed[0]}")
         return 1
@@ -819,12 +805,11 @@ def main(argv=None) -> int:
     run_p.add_argument("config")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--output-dir", default=None, help="override the config output_dir")
-    ver_p = sub.add_parser("verify", help="run the analytic self-check suite")
-    ver_p.add_argument("--perturb", default=None, help=argparse.SUPPRESS)  # test hook
+    sub.add_parser("verify", help="run the analytic self-check suite")
     args = parser.parse_args(argv)
 
     if args.command == "verify":
-        return verify(perturb=args.perturb)
+        return verify()
 
     try:
         plan = load_plan(args.config, args.seed, args.output_dir)

@@ -152,7 +152,7 @@ def fine_tune(
             dlogits[np.arange(b), y] -= 1.0 / b
             grad = np.concatenate([(e.T @ dlogits / cfg.tau).ravel(), dlogits.sum(axis=0)])
             try:
-                theta, state = adam_step(theta, grad, state, cfg)
+                theta, state = adam_step(theta, grad, state, cfg.learning_rate)
             except NonFiniteGradient as exc:
                 raise NonFiniteGradient(f"fine-tune epoch {epoch}, step {step}: {exc}") from exc
     return ClassifierHead(

@@ -1,24 +1,26 @@
 """Encoder families, tilting similarity matrices, and exact VJPs.
 
-Five families: linear (pure matrix), affine (matrix + bias), mlp (dense
-layers with relu or tanh hidden activations and a linear head), one_hot
-(class index to standard basis vector, parameter-free), and frozen_table
+Five families. linear, affine and mlp are one dense chain: layer i maps x
+to W_i x + b_i and every layer but the last applies the activation (relu or
+tanh); linear has no biases and affine is one layer with a bias. one_hot
+(class index to standard basis vector, parameter-free) and frozen_table
 (row lookup into a fixed embedding table; the table lives in the parameter
-vector but is never updated by training).
+vector but is never updated by training) are index lookups.
 
 All parameters travel as one flat float64 vector next to a per-layer shape
 table, so the optimizer is family-agnostic. One private forward pass checks
 the batch and the parameters, runs the layers and normalizes rows through
 _unit_rows (the package's one row normalizer). encode_with_vjp returns its
-embeddings together with a pullback that reuses it: the exact gradient of
-<cotangent, e> with respect to the flat vector, including the
-row-normalization Jacobian when the spec asks for unit rows. encode and
-encode_vjp are its two halves.
+embeddings together with a pullback that reuses it and writes each layer's
+gradient into its block of one flat vector: the exact gradient of
+<cotangent, e>, including the row-normalization Jacobian when the spec asks
+for unit rows. encode and encode_vjp are its two halves.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,21 +86,19 @@ class EncoderSpec:
         return self.family not in ("one_hot", "frozen_table")
 
     def shape_table(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        if self.family == "linear":
-            n_in, n_e = self.dims
-            return (("w0", (n_e, n_in)),)
-        if self.family == "affine":
-            n_in, n_e = self.dims
-            return (("w0", (n_e, n_in)), ("b0", (n_e,)))
-        if self.family == "mlp":
-            table = []
-            for i in range(len(self.dims) - 1):
-                table.append((f"w{i}", (self.dims[i + 1], self.dims[i])))
-                table.append((f"b{i}", (self.dims[i + 1],)))
-            return tuple(table)
+        """(name, shape) of each parameter block, in flat-vector order. The
+        dense chain has layer i's weight w{i} of shape (dims[i+1], dims[i]),
+        then its bias b{i} unless the family is linear."""
         if self.family == "frozen_table":
             return (("table", self.dims),)
-        return ()
+        if self.family == "one_hot":
+            return ()
+        table = []
+        for i, (n_in, n_out) in enumerate(zip(self.dims, self.dims[1:])):
+            table.append((f"w{i}", (n_out, n_in)))
+            if self.family != "linear":
+                table.append((f"b{i}", (n_out,)))
+        return tuple(table)
 
     def n_params(self) -> int:
         return sum(int(np.prod(shape)) for _, shape in self.shape_table())
@@ -142,33 +142,38 @@ class EncoderParams:
         object.__setattr__(self, "shapes", tuple((n, tuple(s)) for n, s in self.shapes))
 
     def unflatten(self) -> dict[str, np.ndarray]:
-        out = {}
-        offset = 0
-        for name, shape in self.shapes:
-            size = int(np.prod(shape))
-            out[name] = self.theta[offset : offset + size].reshape(shape)
-            offset += size
-        return out
+        return _blocks(self.theta, self.shapes)
+
+
+def _blocks(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
+    """Named views into a flat vector, one per shape-table entry; writing
+    to a view writes to the vector."""
+    out = {}
+    offset = 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        out[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return out
 
 
 def init_params(spec: EncoderSpec, rng: SeededRng) -> EncoderParams:
-    """Per-layer uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)].
+    """Per-layer uniform init: layer i's weight, then its bias, drawn on
+    [-1/sqrt(n), 1/sqrt(n)] with n = spec.dims[i], the layer's fan-in.
 
     frozen_table has no sensible random default (its rows are prescribed
     embeddings); build it with params_from_table instead.
     """
     if spec.family == "frozen_table":
         raise ValueError("frozen_table rows are prescribed; use params_from_table")
-    pieces = []
-    for name, shape in spec.shape_table():
-        fan_in = shape[1] if len(shape) == 2 else shape[0]
-        if name.startswith("b"):
-            # biases share the bound of the weight they accompany
-            layer = int(name[1:])
-            fan_in = spec.dims[layer]
-        bound = 1.0 / np.sqrt(fan_in)
-        pieces.append(rng.uniform(-bound, bound, shape).ravel())
-    theta = np.concatenate(pieces) if pieces else np.zeros(0)
+    theta = np.empty(spec.n_params())
+    blocks = _blocks(theta, spec.shape_table())
+    # one_hot's single dim gives no layer and an empty vector
+    for layer in range(len(spec.dims) - 1):
+        bound = 1.0 / np.sqrt(spec.dims[layer])
+        for name in (f"w{layer}", f"b{layer}"):
+            if name in blocks:
+                blocks[name][...] = rng.uniform(-bound, bound, blocks[name].shape)
     return EncoderParams(theta, spec.shape_table())
 
 
@@ -203,8 +208,8 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _forward(spec: EncoderSpec, params: EncoderParams, batch):
     """Check the batch and the parameters, run the layers and normalize rows
-    when the spec asks. Returns (embeddings, checked batch, what the
-    backward pass needs, row norms or None)."""
+    when the spec asks. Returns (embeddings, what the backward pass needs,
+    row norms or None)."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 1:
         batch = batch[:, None]
@@ -220,27 +225,20 @@ def _forward(spec: EncoderSpec, params: EncoderParams, batch):
     elif spec.family == "frozen_table":
         cache = _indices(spec, batch, spec.dims[0])
         out = weights["table"][cache]
-    elif spec.family in ("linear", "affine"):
-        out = batch @ weights["w0"].T
-        if spec.family == "affine":
-            out = out + weights["b0"]
-        cache = None
     else:
-        # mlp: cache each layer's input and pre-activation
-        out = batch
-        cache = []
-        n_layers = len(spec.dims) - 1
-        for i in range(n_layers):
-            z = out @ weights[f"w{i}"].T + weights[f"b{i}"]
-            cache.append((out, z))
-            if i < n_layers - 1:
-                out = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
-            else:
-                out = z
+        # the dense chain; cache each layer's input and weight
+        out, cache = batch, []
+        for i in range(len(spec.dims) - 1):
+            if i:
+                out = np.maximum(out, 0.0) if spec.activation == "relu" else np.tanh(out)
+            cache.append((out, weights[f"w{i}"]))
+            out = out @ weights[f"w{i}"].T
+            if f"b{i}" in weights:
+                out += weights[f"b{i}"]
     norms = None
     if spec.normalized:
         out, norms = _unit_rows(out)
-    return out, batch, cache, norms
+    return out, cache, norms
 
 
 def encode_with_vjp(spec: EncoderSpec, params: EncoderParams, batch):
@@ -251,7 +249,7 @@ def encode_with_vjp(spec: EncoderSpec, params: EncoderParams, batch):
     gradient). frozen_table gets the true table gradient (scatter-added over
     rows); callers that treat the table as frozen simply never apply it.
     """
-    out, batch, cache, norms = _forward(spec, params, batch)
+    out, cache, norms = _forward(spec, params, batch)
 
     def vjp(cotangent) -> np.ndarray:
         cot = np.asarray(cotangent, dtype=np.float64)
@@ -261,29 +259,24 @@ def encode_with_vjp(spec: EncoderSpec, params: EncoderParams, batch):
             return np.zeros(0)
         if norms is not None:
             cot = (cot - out * np.sum(cot * out, axis=1, keepdims=True)) / norms[:, None]
-        grads = {name: np.zeros(shape) for name, shape in spec.shape_table()}
         if spec.family == "frozen_table":
-            np.add.at(grads["table"], cache, cot)
-        elif spec.family in ("linear", "affine"):
-            grads["w0"] = cot.T @ batch
-            if spec.family == "affine":
-                grads["b0"] = cot.sum(axis=0)
-        else:
-            weights = params.unflatten()
-            n_layers = len(spec.dims) - 1
-            delta = cot
-            for i in reversed(range(n_layers)):
-                x_in, z = cache[i]
-                if i < n_layers - 1:
-                    if spec.activation == "relu":
-                        delta = delta * (z > 0.0)
-                    else:
-                        delta = delta * (1.0 - np.tanh(z) ** 2)
-                grads[f"w{i}"] = delta.T @ x_in
-                grads[f"b{i}"] = delta.sum(axis=0)
-                if i > 0:
-                    delta = delta @ weights[f"w{i}"]
-        return np.concatenate([grads[name].ravel() for name, _ in spec.shape_table()])
+            grad = np.zeros(params.theta.size)
+            np.add.at(grad.reshape(spec.dims), cache, cot)
+            return grad
+        grad = np.empty(params.theta.size)
+        blocks = _blocks(grad, params.shapes)
+        delta = cot
+        for i in reversed(range(len(cache))):
+            x_in, w = cache[i]
+            np.matmul(delta.T, x_in, out=blocks[f"w{i}"])
+            if f"b{i}" in blocks:
+                delta.sum(axis=0, out=blocks[f"b{i}"])
+            if i:
+                # x_in is the previous layer's activation output, which
+                # gives its derivative: relu' = [x > 0], tanh' = 1 - x^2
+                delta = delta @ w
+                delta *= (x_in > 0.0) if spec.activation == "relu" else 1.0 - x_in**2
+        return grad
 
     return out, vjp
 

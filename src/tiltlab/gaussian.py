@@ -210,14 +210,11 @@ def minimizer_joint(g: BlockGaussian, r: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Adam settings for the rank-constrained one-sided solver; the field
-    names match TrainConfig's, so training.adam_step takes it as its config."""
+    """Adam settings for the rank-constrained one-sided solver."""
 
     learning_rate: float = 1e-2
     max_iters: int = 5000
     grad_tol: float = 1e-8
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
 
 
 def minimizer_quadratic_onesided(
@@ -293,7 +290,7 @@ def minimizer_quadratic_onesided(
         grad_norm = float(np.linalg.norm(gflat))
         if grad_norm <= cfg.grad_tol:
             break
-        theta, state = adam_step(theta, gflat, state, cfg)
+        theta, state = adam_step(theta, gflat, state, cfg.learning_rate)
     if grad_norm > cfg.grad_tol:
         raise SolverDidNotConverge(
             f"rank-{r} one-sided solver: gradient norm {grad_norm:.3e} after "

@@ -20,9 +20,11 @@ _joint_value):
 The two MMD losses keep their kernel Gram matrices separate from the score
 matrix: the Grams carry no encoder dependence (training computes them on
 raw data batches), so the exact parameter gradient flows through the
-softmax weights alone. The batch-level wrappers loss_cond_mmd and
-loss_joint_mmd apply kernel and tilting to the same vectors for
-self-contained evaluation.
+softmax weights alone. Each MMD loss has one private function that
+returns its value and score gradient from one pass (_cond_mmd, _joint_mmd);
+the public value and gradient functions are its two halves. The batch-level
+wrappers loss_cond_mmd and loss_joint_mmd apply kernel and tilting to the
+same vectors for self-contained evaluation.
 """
 
 from __future__ import annotations
@@ -245,9 +247,10 @@ def mmd_unbiased(x, y, k: Kernel) -> float:
     return c * off_diag_sum(kxx) - 2.0 * c * off_diag_sum(kxy) + c * off_diag_sum(kyy)
 
 
-def _cond_mmd_side(k_gram: np.ndarray, w: np.ndarray) -> float:
+def _cond_mmd_side(k_gram: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
     """One conditional-MMD side from a Gram matrix and column-stochastic
-    weights w[j, i] (weight of candidate j for conditioning sample i).
+    weights w[j, i] (weight of candidate j for conditioning sample i): its
+    value and its gradient with respect to w.
 
     Self term: (1/(N-1)) [Tr(W^T K W) - sum_{j,i} K_jj W_ji^2]; cross term:
     (1/(N-1)) [Tr(K W) - sum_i K_ii W_ii]. Uniform weights reduce both to
@@ -258,15 +261,9 @@ def _cond_mmd_side(k_gram: np.ndarray, w: np.ndarray) -> float:
     kdiag = np.diag(k_gram)
     s_term = (np.sum(w * kw) - np.sum(kdiag[:, None] * w**2)) / (n - 1)
     x_term = (np.einsum("ij,ji->", k_gram, w) - np.sum(kdiag * np.diag(w))) / (n - 1)
-    return 0.5 * float(s_term) - float(x_term)
-
-
-def _cond_mmd_side_grad_w(k_gram: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n = k_gram.shape[0]
-    kdiag = np.diag(k_gram)
-    d_self = (k_gram @ w - kdiag[:, None] * w) / (n - 1)
+    d_self = (kw - kdiag[:, None] * w) / (n - 1)
     d_cross = (k_gram.T - np.diag(kdiag)) / (n - 1)
-    return d_self - d_cross
+    return 0.5 * float(s_term) - float(x_term), d_self - d_cross
 
 
 def _softmax_col_vjp(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -274,32 +271,38 @@ def _softmax_col_vjp(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return w * (dw - np.sum(dw * w, axis=0, keepdims=True))
 
 
-def cond_mmd_from_grams(s, k_u: np.ndarray, k_v: np.ndarray, lam_u: float, lam_v: float) -> float:
-    """Conditional MMD loss from explicit Gram matrices and a score matrix.
+def _cond_mmd(s, k_u, k_v, lam_u: float, lam_v: float) -> tuple[float, np.ndarray]:
+    """Conditional MMD loss and its score gradient, from one softmax and one
+    K @ W per side.
 
     The u side weights each u candidate by the column softmax of s (given
     v^i); the v side mirrors with the row softmax. The Grams are treated as
-    score-independent, so cond_mmd_grad_scores is the exact derivative.
+    score-independent, so the gradient is exact.
     """
     arr = _square_scores(s)
     val = 0.0
-    if lam_u:
-        val += lam_u * _cond_mmd_side(k_u, _axis_lse_softmax(arr, 0)[1])
-    if lam_v:
-        val += lam_v * _cond_mmd_side(k_v, _axis_lse_softmax(arr.T, 0)[1])
-    return float(val)
-
-
-def cond_mmd_grad_scores(s, k_u, k_v, lam_u: float, lam_v: float) -> np.ndarray:
-    arr = _square_scores(s)
     g = np.zeros_like(arr)
     if lam_u:
         w = _axis_lse_softmax(arr, 0)[1]
-        g += lam_u * _softmax_col_vjp(w, _cond_mmd_side_grad_w(k_u, w))
+        side, dw = _cond_mmd_side(k_u, w)
+        val += lam_u * side
+        g += lam_u * _softmax_col_vjp(w, dw)
     if lam_v:
         w = _axis_lse_softmax(arr.T, 0)[1]
-        g += lam_v * _softmax_col_vjp(w, _cond_mmd_side_grad_w(k_v, w)).T
-    return g
+        side, dw = _cond_mmd_side(k_v, w)
+        val += lam_v * side
+        g += lam_v * _softmax_col_vjp(w, dw).T
+    return float(val), g
+
+
+def cond_mmd_from_grams(s, k_u: np.ndarray, k_v: np.ndarray, lam_u: float, lam_v: float) -> float:
+    """Conditional MMD loss from explicit Gram matrices and a score matrix;
+    cond_mmd_grad_scores is its exact score gradient."""
+    return _cond_mmd(s, k_u, k_v, lam_u, lam_v)[0]
+
+
+def cond_mmd_grad_scores(s, k_u, k_v, lam_u: float, lam_v: float) -> np.ndarray:
+    return _cond_mmd(s, k_u, k_v, lam_u, lam_v)[1]
 
 
 def loss_cond_mmd(e_u, e_v, kernel: Kernel, lam_u, lam_v, tilting: str, tau: float) -> float:
@@ -318,12 +321,8 @@ def joint_mmd_weights(scores) -> np.ndarray:
     return _axis_lse_softmax(scores, None)[1]
 
 
-def loss_joint_mmd(z, z_tilde, scores, kernel: Kernel) -> float:
-    """MMD-squared surrogate between a paired batch z and a product batch
-    z_tilde carrying self-normalized tilting weights softmax(scores):
-    -2 sum_j w_j mean_i k(z_i, zt_j) + sum_{j,j'} w_j w_j' k(zt_j, zt_j').
-    The z-z self term is weight-free and dropped.
-    """
+def _joint_mmd(z, z_tilde, scores, kernel: Kernel) -> tuple[float, np.ndarray]:
+    """Joint MMD loss and its score gradient from one build of each Gram."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.shape[0] < 2:
         raise ValueError("need a paired batch of at least 2")
@@ -333,18 +332,23 @@ def loss_joint_mmd(z, z_tilde, scores, kernel: Kernel) -> float:
         raise ValueError("one score per product-batch row required")
     cross_means = kernel_gram(kernel, z, z_tilde).mean(axis=0)
     g_tt = kernel_gram(kernel, z_tilde)
-    return float(-2.0 * w @ cross_means + w @ g_tt @ w)
+    value = float(-2.0 * w @ cross_means + w @ g_tt @ w)
+    dw = -2.0 * cross_means + 2.0 * g_tt @ w
+    g = w * (dw - float(dw @ w))
+    return value, g.reshape(np.asarray(scores).shape)
+
+
+def loss_joint_mmd(z, z_tilde, scores, kernel: Kernel) -> float:
+    """MMD-squared surrogate between a paired batch z and a product batch
+    z_tilde carrying self-normalized tilting weights softmax(scores):
+    -2 sum_j w_j mean_i k(z_i, zt_j) + sum_{j,j'} w_j w_j' k(zt_j, zt_j').
+    The z-z self term is weight-free and dropped.
+    """
+    return _joint_mmd(z, z_tilde, scores, kernel)[0]
 
 
 def joint_mmd_grad_scores(z, z_tilde, scores, kernel: Kernel) -> np.ndarray:
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    z_tilde = np.atleast_2d(np.asarray(z_tilde, dtype=np.float64))
-    w = joint_mmd_weights(scores)
-    cross_means = kernel_gram(kernel, z, z_tilde).mean(axis=0)
-    g_tt = kernel_gram(kernel, z_tilde)
-    dw = -2.0 * cross_means + 2.0 * g_tt @ w
-    g = w * (dw - float(dw @ w))
-    return g.reshape(np.asarray(scores).shape)
+    return _joint_mmd(z, z_tilde, scores, kernel)[1]
 
 
 def product_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -388,13 +392,9 @@ def loss_value_and_grad(kind: LossKind, s: SimilarityBatch, u_batch=None, v_batc
     if kind.variant == "cond_mmd":
         k_u = kernel_gram(kind.kernel, u_batch)
         k_v = kernel_gram(kind.kernel, v_batch)
-        value = cond_mmd_from_grams(arr, k_u, k_v, kind.lam_u, kind.lam_v)
-        return value, cond_mmd_grad_scores(arr, k_u, k_v, kind.lam_u, kind.lam_v)
+        return _cond_mmd(arr, k_u, k_v, kind.lam_u, kind.lam_v)
     z, zt = product_batch(u_batch, v_batch)
-    flat = arr.ravel()
-    value = loss_joint_mmd(z, zt, flat, kind.kernel)
-    ds = joint_mmd_grad_scores(z, zt, flat, kind.kernel).reshape(arr.shape)
-    return value, ds
+    return _joint_mmd(z, zt, arr, kind.kernel)
 
 
 # Rows per tile of the score table in score_step: a 128 x N tile of exps

@@ -10,7 +10,8 @@ trainable parameters (one_hot, frozen_table) pass through untouched.
 
 adam_step is the package's one Adam update: train, crossmodal.fine_tune and
 the rank-constrained solver gaussian.minimizer_quadratic_onesided all call
-it. It keeps its moments in preallocated buffers that it updates in place.
+it. It keeps its moments in preallocated buffers that it updates in place,
+and its betas and epsilon are the module constants ADAM_BETAS and ADAM_EPS.
 
 A step takes one of two paths, fixed by the loss variant:
   clip, cond, joint    losses.score_step, the tiled score-table kernel, for
@@ -44,6 +45,9 @@ from .errors import NonFiniteGradient
 from .losses import SOFTMAX_VARIANTS, LossKind, loss_value_and_grad, score_step
 from .rng import SeededRng
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -54,8 +58,6 @@ class TrainConfig:
     tau: float
     loss: LossKind
     tilting: str
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -112,18 +114,18 @@ class AdamState:
         return AdamState(m=np.zeros(n), v=np.zeros(n))
 
 
-def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, cfg):
-    """One bias-corrected Adam update; returns (new parameters, state).
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, learning_rate: float):
+    """One bias-corrected Adam update with ADAM_BETAS and ADAM_EPS; returns
+    (new parameters, state).
 
-    cfg supplies learning_rate, adam_betas and adam_eps (a TrainConfig or a
-    gaussian.SolverConfig). The moments and step count of state advance in
-    place and params is left untouched. Rejects a non-finite gradient, and a
-    finite one whose square or update overflows the moments or parameters.
+    The moments and step count of state advance in place and params is left
+    untouched. Rejects a non-finite gradient, and a finite one whose square
+    or update overflows the moments or parameters.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("gradient contains nan or inf")
-    b1, b2 = cfg.adam_betas
+    b1, b2 = ADAM_BETAS
     state.t += 1
     m, v, (a, b) = state.m, state.v, state.scratch
     with np.errstate(over="ignore", invalid="ignore"):
@@ -135,10 +137,10 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, cfg):
         v += np.multiply(a, 1.0 - b2, out=a)
         # params - lr * m_hat / (sqrt(v_hat) + eps)
         np.divide(m, 1.0 - b1**state.t, out=a)
-        a *= cfg.learning_rate
+        a *= learning_rate
         np.divide(v, 1.0 - b2**state.t, out=b)
         np.sqrt(b, out=b)
-        b += cfg.adam_eps
+        b += ADAM_EPS
         a /= b
         new_params = params - a
     # v >= 0, so its maximum is finite exactly when all of v is; with v
@@ -193,6 +195,7 @@ def train(
     state_v = AdamState.zeros(params_v.theta.size)
     history = TrainHistory()
     softmax_family = cfg.loss.variant in SOFTMAX_VARIANTS
+    lr = cfg.learning_rate
     ws: dict = {}
 
     for epoch in range(cfg.epochs):
@@ -216,10 +219,10 @@ def train(
             step_losses.append(value)
             try:
                 if spec_u.trainable:
-                    theta_u, state_u = adam_step(params_u.theta, vjp_u(cot_u), state_u, cfg)
+                    theta_u, state_u = adam_step(params_u.theta, vjp_u(cot_u), state_u, lr)
                     params_u = EncoderParams(theta_u, spec_u.shape_table())
                 if spec_v.trainable:
-                    theta_v, state_v = adam_step(params_v.theta, vjp_v(cot_v), state_v, cfg)
+                    theta_v, state_v = adam_step(params_v.theta, vjp_v(cot_v), state_v, lr)
                     params_v = EncoderParams(theta_v, spec_v.shape_table())
             except NonFiniteGradient as exc:
                 raise NonFiniteGradient(f"epoch {epoch}, step {step}: {exc}") from exc

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltlab import cli
+from tiltlab import cli, gaussian
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -572,6 +572,30 @@ class TestMnist:
         assert "config error: config.mnist" in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("absent", ["test_images", "test_labels"])
+    def test_missing_test_file_skips(self, tmp_path, capsys, absent):
+        # the 12-image IDX pair of test_malformed_block, as train and test set
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        def header(*words):
+            return b"".join(w.to_bytes(4, "big") for w in words)
+
+        images.write_bytes(header(0x803, 12, 2, 2) + bytes(48))
+        labels.write_bytes(header(0x801, 12) + bytes(i % 10 for i in range(12)))
+        outdir = tmp_path / "out"
+        doc = self.base_doc(outdir)
+        doc["mnist"] = {
+            "images": str(images),
+            "labels": str(labels),
+            "test_images": str(images),
+            "test_labels": str(labels),
+            absent: str(tmp_path / "absent.idx"),
+        }
+        rc = cli.main(["run", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert f"mnist: skipped (missing files: ['{tmp_path / 'absent.idx'}'])" in captured.out
+        assert read_report(outdir)["results"]["skipped"].startswith("missing MNIST files")
+
 
 def valid_configs():
     """One small config per experiment that RunPlan accepts."""
@@ -677,20 +701,14 @@ class TestVerify:
         assert len(pass_lines) == len(cli.VERIFY_CHECKS)
         assert lines[-1] == f"verify ok: {len(cli.VERIFY_CHECKS)} checks passed"
 
-    def test_perturbation_is_caught(self, capsys):
-        rc = cli.main(["verify", "--perturb", "shrinkage_h"])
+    def test_perturbation_is_caught(self, capsys, monkeypatch):
+        original = gaussian.shrinkage_h
+        monkeypatch.setattr(gaussian, "shrinkage_h", lambda sigma: original(sigma) * 1.001)
+        rc = cli.main(["verify"])
         captured = capsys.readouterr()
         assert rc == 1
         assert any(l.startswith("FAIL ") for l in captured.out.splitlines())
         assert "verify failed: first failing check is" in captured.out
-        # the hook restores the original implementation afterwards
-        assert cli.main(["verify"]) == 0
-
-    def test_unknown_perturbation(self, capsys):
-        rc = cli.main(["verify", "--perturb", "nope"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "unknown perturbation 'nope'" in captured.out
 
 
 def test_loading_the_cli_leaves_scipy_unimported():

@@ -303,6 +303,73 @@ class TestVjp:
             encode_vjp(spec, params, np.zeros((4, 2)), np.zeros((4, 2)))
 
 
+def linear_affine_reference(spec, params, batch, cot):
+    """The linear/affine forward and pullback as separate branches, written
+    out as they stood before the dense chain took them over."""
+    w = params.unflatten()
+    out = batch @ w["w0"].T
+    if spec.family == "affine":
+        out = out + w["b0"]
+    if spec.normalized:
+        norms = np.linalg.norm(out, axis=1)
+        out = out / norms[:, None]
+        cot = (cot - out * np.sum(cot * out, axis=1, keepdims=True)) / norms[:, None]
+    grads = {"w0": cot.T @ batch}
+    if spec.family == "affine":
+        grads["b0"] = cot.sum(axis=0)
+    return out, np.concatenate([grads[name].ravel() for name, _ in spec.shape_table()])
+
+
+class TestDenseChain:
+    @pytest.mark.parametrize("make", [linear_spec, affine_spec])
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("n_in, n_e, rows", [(3, 2, 6), (1, 4, 9), (18, 5, 64)])
+    def test_linear_and_affine_match_their_own_branches_bitwise(
+        self, make, normalized, n_in, n_e, rows
+    ):
+        spec = make(n_in, n_e, normalized=normalized)
+        params = init_params(spec, SeededRng(60).split(n_in))
+        batch = SeededRng(61).split(n_in).standard_normal((rows, n_in))
+        cot = SeededRng(62).split(n_in).standard_normal((rows, n_e))
+        e, vjp = encoders.encode_with_vjp(spec, params, batch)
+        want_e, want_grad = linear_affine_reference(spec, params, batch, cot)
+        assert np.array_equal(e, want_e)
+        assert np.array_equal(vjp(cot), want_grad)
+
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    def test_mlp_pullback_fills_a_fresh_vector_in_spec_layout(self, act):
+        spec = mlp_spec([3, 5, 4, 2], act)
+        params = init_params(spec, SeededRng(63))
+        batch = SeededRng(64).standard_normal((7, 3))
+        cot = SeededRng(65).standard_normal((7, 2))
+        _, vjp = encoders.encode_with_vjp(spec, params, batch)
+        grad, again = vjp(cot), vjp(cot)
+        assert grad.shape == (spec.n_params(),)
+        assert not np.shares_memory(grad, again)
+        assert not np.shares_memory(grad, params.theta)
+        assert np.array_equal(grad, again)
+        blocks = EncoderParams(grad, spec.shape_table()).unflatten()
+        assert [(name, b.shape) for name, b in blocks.items()] == list(spec.shape_table())
+        # each block against a hand-written backward pass
+        w = params.unflatten()
+        act_fn = (lambda z: np.maximum(z, 0.0)) if act == "relu" else np.tanh
+        z0 = batch @ w["w0"].T + w["b0"]
+        h0 = act_fn(z0)
+        z1 = h0 @ w["w1"].T + w["b1"]
+        h1 = act_fn(z1)
+        d_act = (lambda z: (z > 0.0) * 1.0) if act == "relu" else (lambda z: 1.0 - np.tanh(z) ** 2)
+        d2 = cot
+        d1 = (d2 @ w["w2"]) * d_act(z1)
+        d0 = (d1 @ w["w1"]) * d_act(z0)
+        want = {
+            "w2": d2.T @ h1, "b2": d2.sum(axis=0),
+            "w1": d1.T @ h0, "b1": d1.sum(axis=0),
+            "w0": d0.T @ batch, "b0": d0.sum(axis=0),
+        }
+        for name, block in blocks.items():
+            np.testing.assert_allclose(block, want[name], rtol=1e-12, atol=1e-14)
+
+
 class TestSimilarity:
     def test_inner_product_oracle(self):
         rng = SeededRng(50)

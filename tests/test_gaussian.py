@@ -20,6 +20,7 @@ import pytest
 from tiltlab import gaussian, linalg
 from tiltlab.errors import DivergentNormalizer, NotPositiveDefinite, SolverDidNotConverge
 from tiltlab.rng import SeededRng
+from tiltlab.training import ADAM_BETAS, ADAM_EPS
 
 
 def reference():
@@ -383,7 +384,7 @@ class TestQuadraticMinimizer:
 
         m1 = np.zeros_like(theta)
         m2 = np.zeros_like(theta)
-        b1, b2 = cfg.adam_betas
+        b1, b2 = ADAM_BETAS
         for t in range(1, cfg.max_iters + 1):
             gflat = grad(theta.reshape(r, g.n_x)).ravel()
             if float(np.linalg.norm(gflat)) <= cfg.grad_tol:
@@ -392,7 +393,7 @@ class TestQuadraticMinimizer:
             m2 = b2 * m2 + (1 - b2) * gflat**2
             hat1 = m1 / (1 - b1**t)
             hat2 = m2 / (1 - b2**t)
-            theta = theta - cfg.learning_rate * hat1 / (np.sqrt(hat2) + cfg.adam_eps)
+            theta = theta - cfg.learning_rate * hat1 / (np.sqrt(hat2) + ADAM_EPS)
         gm = theta.reshape(r, g.n_x)
         return 0.5 * (gm.T @ gm + (gm.T @ gm).T)
 

@@ -8,7 +8,16 @@ from tiltlab import datagen, encoders, gaussian, losses, training
 from tiltlab.errors import NonFiniteGradient
 from tiltlab.losses import LossKind
 from tiltlab.rng import SeededRng
-from tiltlab.training import AdamState, TrainConfig, TrainHistory, adam_step, epoch_batches, train
+from tiltlab.training import (
+    ADAM_BETAS,
+    ADAM_EPS,
+    AdamState,
+    TrainConfig,
+    TrainHistory,
+    adam_step,
+    epoch_batches,
+    train,
+)
 
 
 def small_config(**overrides):
@@ -74,39 +83,36 @@ class TestEpochBatches:
 class TestAdam:
     def test_reference_first_step(self):
         # with t=1 the bias correction makes the update lr * g/(|g| + eps)
-        cfg = small_config(learning_rate=0.1)
         params = np.array([1.0, -2.0])
         grad = np.array([0.5, -4.0])
-        new, state = adam_step(params, grad, AdamState.zeros(2), cfg)
-        want = params - 0.1 * np.sign(grad) * (np.abs(grad) / (np.abs(grad) + cfg.adam_eps))
+        new, state = adam_step(params, grad, AdamState.zeros(2), 0.1)
+        want = params - 0.1 * np.sign(grad) * (np.abs(grad) / (np.abs(grad) + ADAM_EPS))
         np.testing.assert_allclose(new, want, atol=1e-12)
         assert state.t == 1
 
     def test_two_steps_match_hand_rollout(self):
-        cfg = small_config(learning_rate=0.05)
-        b1, b2 = cfg.adam_betas
+        b1, b2 = ADAM_BETAS
         params = np.array([0.3])
         g1, g2 = np.array([1.2]), np.array([-0.7])
-        p, st = adam_step(params, g1, AdamState.zeros(1), cfg)
-        p, st = adam_step(p, g2, st, cfg)
+        p, st = adam_step(params, g1, AdamState.zeros(1), 0.05)
+        p, st = adam_step(p, g2, st, 0.05)
 
         m = (1 - b1) * g1
         v = (1 - b2) * g1**2
-        p_ref = params - 0.05 * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + cfg.adam_eps)
+        p_ref = params - 0.05 * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + ADAM_EPS)
         m = b1 * m + (1 - b1) * g2
         v = b2 * v + (1 - b2) * g2**2
-        p_ref = p_ref - 0.05 * (m / (1 - b1**2)) / (np.sqrt(v / (1 - b2**2)) + cfg.adam_eps)
+        p_ref = p_ref - 0.05 * (m / (1 - b1**2)) / (np.sqrt(v / (1 - b2**2)) + ADAM_EPS)
         np.testing.assert_allclose(p, p_ref, atol=1e-14)
         assert st.t == 2
 
     def test_params_left_unchanged_and_state_updated_in_place(self):
-        cfg = small_config(learning_rate=0.1)
         params = np.array([1.0, -2.0, 0.5])
         state = AdamState.zeros(3)
         m, v = state.m, state.v
         for grad in (np.array([0.5, -4.0, 1.0]), np.array([-0.25, 2.0, 3.0])):
             before = params.copy()
-            new, out = adam_step(params, grad, state, cfg)
+            new, out = adam_step(params, grad, state, 0.1)
             np.testing.assert_array_equal(params, before)
             assert new is not params
             assert out is state and out.m is m and out.v is v
@@ -114,15 +120,13 @@ class TestAdam:
         assert state.t == 2
 
     def test_rejects_nan_gradient(self):
-        cfg = small_config()
         with pytest.raises(NonFiniteGradient):
-            adam_step(np.zeros(2), np.array([1.0, np.nan]), AdamState.zeros(2), cfg)
+            adam_step(np.zeros(2), np.array([1.0, np.nan]), AdamState.zeros(2), 1e-2)
 
     def test_rejects_second_moment_overflow(self):
         # the gradient is finite but its square is not
-        cfg = small_config()
         with np.errstate(over="raise"), pytest.raises(NonFiniteGradient, match="overflowed"):
-            adam_step(np.zeros(2), np.array([1e200, 1.0]), AdamState.zeros(2), cfg)
+            adam_step(np.zeros(2), np.array([1e200, 1.0]), AdamState.zeros(2), 1e-2)
 
 
 class TestTrainLoop:
@@ -163,8 +167,8 @@ class TestTrainLoop:
                 cot_u, cot_v = encoders.similarity_vjp(e_u, e_v, cfg.tilting, cfg.tau, ds)
                 g_u = encoders.encode_vjp(spec, params_u, u_b, cot_u)
                 g_v = encoders.encode_vjp(spec, params_v, v_b, cot_v)
-                tu, su = adam_step(params_u.theta, g_u, su, cfg)
-                tv, sv = adam_step(params_v.theta, g_v, sv, cfg)
+                tu, su = adam_step(params_u.theta, g_u, su, cfg.learning_rate)
+                tv, sv = adam_step(params_v.theta, g_v, sv, cfg.learning_rate)
                 params_u = encoders.EncoderParams(tu, spec.shape_table())
                 params_v = encoders.EncoderParams(tv, spec.shape_table())
             np.testing.assert_allclose(pu.theta, params_u.theta, atol=1e-12)

@@ -195,8 +195,9 @@ class RunPlan:
             self.flow = _built("config.flow", datagen.draw_flow_config, rng=root.split(2), **cfg["flow"])
         self.gp, self.heldout, self.hidden = cfg.get("gp"), cfg.get("heldout"), cfg.get("hidden")
         self.mnist_paths = paths = cfg.get("mnist", {})
-        if "test_images" in paths and "test_labels" not in paths:
-            raise ConfigError("config.mnist.test_labels: required when test_images is given")
+        for have, need in (("test_images", "test_labels"), ("test_labels", "test_images")):
+            if have in paths and need not in paths:
+                raise ConfigError(f"config.mnist.{need}: required when {have} is given")
         self.echo = {k: v for k, v in doc.items() if k != "output_dir"}
 
 
@@ -381,9 +382,15 @@ def _run_gaussian2d(plan: RunPlan):
         "a_quad": float(quad.a[0, 0]),
         "b_quad": float(quad.b[0, 0]),
         "a_trained": float(a_hat[0, 0]),
-        "trained_abs_err": abs(float(a_hat[0, 0]) - float(a_cond[0, 0])),
         "final_epoch_loss": history.losses[-1],
     }
+    # measured against the closed-form minimizer of the configured loss (clip
+    # and cond share a_cond); l2_distance and the MMD losses have none here
+    target = None
+    if plan.train.tilting == encoders.TILTING_INNER:
+        target = {"joint": "a_joint", "clip": "a_cond", "cond": "a_cond"}.get(plan.train.loss.variant)
+    results["trained_target"] = target
+    results["trained_abs_err"] = None if target is None else abs(results["a_trained"] - results[target])
     _write_report(plan, results, artifacts)
 
 
@@ -675,7 +682,7 @@ def _check_loss_grads():
     rng = SeededRng(14)
     s = rng.split(0).standard_normal((6, 6))
     for kind in (losses.LossKind("clip"), losses.LossKind("cond", 2.0, 0.5)):
-        value, grad = losses.loss_value_and_grad(kind, encoders.SimilarityBatch(s, "inner_product", 1.0))
+        value, grad = losses.loss_value_and_grad(kind, s)
         step = 1e-6
         d = rng.split(1).standard_normal((6, 6))
         d /= np.linalg.norm(d)

@@ -291,18 +291,9 @@ def encode_vjp(spec: EncoderSpec, params: EncoderParams, batch, cotangent) -> np
     return encode_with_vjp(spec, params, batch)[1](cotangent)
 
 
-@dataclass(frozen=True)
-class SimilarityBatch:
-    """Square score matrix s[i][j] = score(u_i, v_j) under a tilting."""
-
-    s: np.ndarray
-    tilting: str
-    tau: float
-
-
-def similarity_matrix(e_u, e_v, tilting: str, tau: float) -> SimilarityBatch:
-    """Pairwise tilting scores. inner_product: <e_u_i, e_v_j>/tau;
-    l2_distance: -|e_u_i - e_v_j|^2 / (2 tau)."""
+def similarity_matrix(e_u, e_v, tilting: str, tau: float) -> np.ndarray:
+    """Square score matrix s[i][j] = score(u_i, v_j) under a tilting.
+    inner_product: <e_u_i, e_v_j>/tau; l2_distance: -|e_u_i - e_v_j|^2 / (2 tau)."""
     if tilting not in TILTINGS:
         raise ValueError(f"unknown tilting {tilting!r}")
     if not tau > 0:
@@ -323,7 +314,7 @@ def similarity_matrix(e_u, e_v, tilting: str, tau: float) -> SimilarityBatch:
     # full finiteness check without materializing a boolean mask
     if not (np.isfinite(np.min(s)) and np.isfinite(np.max(s))):
         raise ValueError("non-finite similarity scores")
-    return SimilarityBatch(s=s, tilting=tilting, tau=float(tau))
+    return s
 
 
 def similarity_vjp(e_u, e_v, tilting: str, tau: float, ds) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Empirical losses over similarity batches, with exact score gradients.
+"""Empirical losses over score matrices, with exact score gradients.
 
 Index convention throughout: s[i][j] is the tilting score of (u^i, v^j), so
 column i collects every u candidate for the conditioning sample v^i and row
@@ -21,19 +21,23 @@ The two MMD losses keep their kernel Gram matrices separate from the score
 matrix: the Grams carry no encoder dependence (training computes them on
 raw data batches), so the exact parameter gradient flows through the
 softmax weights alone. Each MMD loss has one private function that
-returns its value and score gradient from one pass (_cond_mmd, _joint_mmd);
-the public value and gradient functions are its two halves. The batch-level
-wrappers loss_cond_mmd and loss_joint_mmd apply kernel and tilting to the
-same vectors for self-contained evaluation.
+returns its value and score gradient from one pass (_cond_mmd, _joint_mmd).
+The joint MMD compares the paired batch with all N^2 pairings (u_i, v_j)
+but never forms them: the kernel on stacked pairs is a sum of Kronecker
+products of N x N Grams on u and on v (_joint_kernel_terms), so every term
+is an N x N matrix product. The N^2 x N^2 product-batch form survives only
+as the test oracle. The batch-level wrappers loss_cond_mmd and
+loss_joint_mmd evaluate a loss without a training step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import TILTING_INNER, TILTINGS, SimilarityBatch, similarity_matrix
+from .encoders import TILTING_INNER, TILTINGS, similarity_matrix
 
 KERNEL_FAMILIES = ("gaussian", "polynomial")
 SOFTMAX_VARIANTS = ("clip", "cond", "joint")
@@ -106,7 +110,7 @@ def median_heuristic_bandwidth(x, y=None) -> float:
 
 
 def _scores(s) -> np.ndarray:
-    arr = s.s if isinstance(s, SimilarityBatch) else np.asarray(s, dtype=np.float64)
+    arr = np.asarray(s, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("score matrix must be 2-d")
     return arr
@@ -197,13 +201,6 @@ def loss_cond(s, lam_u: float, lam_v: float) -> float:
     return _cond_value(float(np.mean(np.diag(arr))), lse_col, lse_row, lam_u, lam_v)
 
 
-def grad_cond(s, lam_u: float, lam_v: float) -> np.ndarray:
-    arr = _square_scores(s)
-    _, p_col = _axis_lse_softmax(arr, 0)
-    _, p_row = _axis_lse_softmax(arr, 1)
-    return _cond_grad(p_col, p_row, lam_u, lam_v)
-
-
 def loss_joint(s_pos, s_neg) -> float:
     """-mean(positive scores) + log mean exp(negative scores).
 
@@ -216,14 +213,6 @@ def loss_joint(s_pos, s_neg) -> float:
         raise ValueError("need at least 2 positive scores")
     lse_neg, _ = _axis_lse_softmax(neg, None)
     return _joint_value(float(np.mean(pos)), lse_neg, neg.size)
-
-
-def grad_joint(s_pos, s_neg) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.asarray(s_pos, dtype=np.float64).reshape(-1)
-    neg = _scores(s_neg)
-    g_pos = np.full(pos.shape, -1.0 / pos.size)
-    _, g_neg = _axis_lse_softmax(neg, None)
-    return g_pos, g_neg
 
 
 def mmd_unbiased(x, y, k: Kernel) -> float:
@@ -296,13 +285,8 @@ def _cond_mmd(s, k_u, k_v, lam_u: float, lam_v: float) -> tuple[float, np.ndarra
 
 
 def cond_mmd_from_grams(s, k_u: np.ndarray, k_v: np.ndarray, lam_u: float, lam_v: float) -> float:
-    """Conditional MMD loss from explicit Gram matrices and a score matrix;
-    cond_mmd_grad_scores is its exact score gradient."""
+    """Conditional MMD loss from explicit Gram matrices and a score matrix."""
     return _cond_mmd(s, k_u, k_v, lam_u, lam_v)[0]
-
-
-def cond_mmd_grad_scores(s, k_u, k_v, lam_u: float, lam_v: float) -> np.ndarray:
-    return _cond_mmd(s, k_u, k_v, lam_u, lam_v)[1]
 
 
 def loss_cond_mmd(e_u, e_v, kernel: Kernel, lam_u, lam_v, tilting: str, tau: float) -> float:
@@ -315,63 +299,69 @@ def loss_cond_mmd(e_u, e_v, kernel: Kernel, lam_u, lam_v, tilting: str, tau: flo
 
 
 def joint_mmd_weights(scores) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    scores = np.asarray(scores, dtype=np.float64)
     if np.all(np.isneginf(scores)):
         raise ValueError("degenerate weights: all scores are -inf")
     return _axis_lse_softmax(scores, None)[1]
 
 
-def _joint_mmd(z, z_tilde, scores, kernel: Kernel) -> tuple[float, np.ndarray]:
-    """Joint MMD loss and its score gradient from one build of each Gram."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.shape[0] < 2:
-        raise ValueError("need a paired batch of at least 2")
-    w = joint_mmd_weights(scores)
-    z_tilde = np.atleast_2d(np.asarray(z_tilde, dtype=np.float64))
-    if w.size != z_tilde.shape[0]:
-        raise ValueError("one score per product-batch row required")
-    cross_means = kernel_gram(kernel, z, z_tilde).mean(axis=0)
-    g_tt = kernel_gram(kernel, z_tilde)
-    value = float(-2.0 * w @ cross_means + w @ g_tt @ w)
-    dw = -2.0 * cross_means + 2.0 * g_tt @ w
-    g = w * (dw - float(dw @ w))
-    return value, g.reshape(np.asarray(scores).shape)
+def _joint_kernel_terms(k: Kernel, u: np.ndarray, v: np.ndarray):
+    """The kernel on stacked pairs (u, v) as sum_j c_j A_j (x) B_j with N x N
+    Grams A_j on u and B_j on v: one term k(u, u') k(v, v') for the Gaussian,
+    and for the polynomial the binomial expansion of (u.u' + (v.v' + c))^d."""
+    if k.family == "gaussian":
+        return [(1.0, kernel_gram(k, u), kernel_gram(k, v))]
+    uu = u @ u.T
+    vv = v @ v.T + k.offset
+    return [(math.comb(k.degree, j), uu**j, vv ** (k.degree - j)) for j in range(k.degree + 1)]
 
 
-def loss_joint_mmd(z, z_tilde, scores, kernel: Kernel) -> float:
-    """MMD-squared surrogate between a paired batch z and a product batch
-    z_tilde carrying self-normalized tilting weights softmax(scores):
-    -2 sum_j w_j mean_i k(z_i, zt_j) + sum_{j,j'} w_j w_j' k(zt_j, zt_j').
-    The z-z self term is weight-free and dropped.
+def _joint_mmd(u, v, scores, kernel: Kernel) -> tuple[float, np.ndarray]:
+    """Joint MMD loss and its score gradient from N x N Grams.
+
+    With W = softmax over all N^2 scores, one term c (A (x) B) of the kernel
+    contributes c [sum W o (A W B) - 2 sum W o (A^T B) / N] to the value and
+    2c (A W B - A^T B / N) to the gradient with respect to W.
     """
-    return _joint_mmd(z, z_tilde, scores, kernel)[0]
-
-
-def joint_mmd_grad_scores(z, z_tilde, scores, kernel: Kernel) -> np.ndarray:
-    return _joint_mmd(z, z_tilde, scores, kernel)[1]
-
-
-def product_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Paired rows z_i = (u_i, v_i) and all N^2 product pairs zt, ordered
-    u-major so zt[i*N + j] = (u_i, v_j) lines up with a flattened score
-    matrix."""
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    if u.shape[0] != v.shape[0]:
-        raise ValueError("paired batches must have equal length")
     n = u.shape[0]
-    z = np.hstack([u, v])
-    zt = np.hstack([np.repeat(u, n, axis=0), np.tile(v, (n, 1))])
-    return z, zt
+    if v.shape[0] != n:
+        raise ValueError("paired batches must have equal length")
+    if n < 2:
+        raise ValueError("need a paired batch of at least 2")
+    arr = _scores(scores)
+    if arr.shape != (n, n):
+        raise ValueError(f"one score per pairing (u_i, v_j) required, got {arr.shape}")
+    w = joint_mmd_weights(arr)
+    value = 0.0
+    dw = np.zeros((n, n))
+    for c, a, b in _joint_kernel_terms(kernel, u, v):
+        awb = a @ w @ b
+        cross = a.T @ b / n
+        value += c * float(np.sum(w * awb) - 2.0 * np.sum(w * cross))
+        dw += 2.0 * c * (awb - cross)
+    return value, w * (dw - float(np.sum(dw * w)))
 
 
-def loss_value_and_grad(kind: LossKind, s: SimilarityBatch, u_batch=None, v_batch=None):
+def loss_joint_mmd(u, v, scores, kernel: Kernel) -> float:
+    """MMD-squared surrogate between the paired batch z_k = (u_k, v_k) and
+    all N^2 pairings (u_i, v_j), weighted by W = softmax(scores) taken over
+    every entry of the N x N scores, with scores[i][j] that of (u_i, v_j):
+    -2 sum_ij W_ij mean_k k(z_k, (u_i, v_j))
+    + sum_{ij, i'j'} W_ij W_i'j' k((u_i, v_j), (u_i', v_j')).
+    The z-z self term is weight-free and dropped.
+    """
+    return _joint_mmd(u, v, scores, kernel)[0]
+
+
+def loss_value_and_grad(kind: LossKind, s, u_batch=None, v_batch=None):
     """Dispatch for the training loop: loss value and the exact cotangent on
-    the score matrix.
+    the score matrix s.
 
-    The joint variant realizes the product batch as all N^2 pairings of the
-    current batch (diagonal included), so its negatives reuse s itself. The
-    MMD variants compute kernel Grams on the raw data batches (u_batch,
+    The joint variants take the product batch as all N^2 pairings of the
+    current batch (diagonal included), so joint's negatives reuse s itself.
+    The MMD variants compute kernel Grams on the raw data batches (u_batch,
     v_batch), which keeps those Grams parameter-free.
     """
     arr = _square_scores(s)
@@ -393,8 +383,7 @@ def loss_value_and_grad(kind: LossKind, s: SimilarityBatch, u_batch=None, v_batc
         k_u = kernel_gram(kind.kernel, u_batch)
         k_v = kernel_gram(kind.kernel, v_batch)
         return _cond_mmd(arr, k_u, k_v, kind.lam_u, kind.lam_v)
-    z, zt = product_batch(u_batch, v_batch)
-    return _joint_mmd(z, zt, arr, kind.kernel)
+    return _joint_mmd(u_batch, v_batch, arr, kind.kernel)
 
 
 # Rows per tile of the score table in score_step: a 128 x N tile of exps

@@ -213,8 +213,8 @@ def train(
                 )
                 shifted_steps += shifted
             else:
-                sb = similarity_matrix(e_u, e_v, cfg.tilting, cfg.tau)
-                value, ds = loss_value_and_grad(cfg.loss, sb, u_batch, v_batch)
+                s = similarity_matrix(e_u, e_v, cfg.tilting, cfg.tau)
+                value, ds = loss_value_and_grad(cfg.loss, s, u_batch, v_batch)
                 cot_u, cot_v = similarity_vjp(e_u, e_v, cfg.tilting, cfg.tau, ds)
             step_losses.append(value)
             try:

@@ -368,8 +368,8 @@ def test_criterion_10_classification_is_cross_entropy():
         y = r.split(2).integers(0, 10, (32,))
         e_u = encode(spec_u, pu, y[:, None].astype(np.float64))
         logits = encode(spec_v, pv, x)
-        sb = similarity_matrix(e_u, logits, "inner_product", 1.0)
-        value = losses.loss_cond(sb.s, 2.0, 0.0)
+        s = similarity_matrix(e_u, logits, "inner_product", 1.0)
+        value = losses.loss_cond(s, 2.0, 0.0)
         counts = np.bincount(y, minlength=10)
         with np.errstate(divide="ignore"):
             log_pi = np.log(counts / 32.0)

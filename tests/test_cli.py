@@ -192,6 +192,12 @@ class TestConfigErrors:
                 {"c_uu": [["a"]], "c_uv": [[1.0]], "c_vv": [[1.5]]},
                 "config error: config.gaussian.c_uu[0][0]: expected a number",
             ),
+            (
+                "mnist",
+                "mnist",
+                lambda idx: {"images": idx[0], "labels": idx[1], "test_labels": idx[1]},
+                "config.mnist.test_images: required when test_labels is given",
+            ),
         ],
     )
     def test_malformed_block(self, tmp_path, capsys, experiment, key, value, message):
@@ -353,7 +359,7 @@ class TestClosedForm:
 
 
 class TestGaussian2d:
-    def run(self, tmp_path):
+    def run(self, tmp_path, **train):
         outdir = tmp_path / "out"
         doc = {
             "experiment": "gaussian2d",
@@ -365,6 +371,7 @@ class TestGaussian2d:
                 "batch_size": 64,
                 "learning_rate": 0.02,
                 "loss": {"variant": "cond"},
+                **train,
             },
         }
         rc = cli.main(["run", write_config(tmp_path, doc)])
@@ -403,6 +410,19 @@ class TestGaussian2d:
         lines = (outdir / "training.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "epoch,loss"
         assert len(lines) == 31
+
+    def test_joint_loss_is_measured_against_a_joint(self, tmp_path):
+        res = read_report(self.run(tmp_path, epochs=10, loss={"variant": "joint"}))["results"]
+        assert res["trained_target"] == "a_joint"
+        assert res["trained_abs_err"] == abs(res["a_trained"] - res["a_joint"])
+        # closer to the joint optimum 1/3 than to the conditional one 4/9
+        assert res["trained_abs_err"] < abs(res["a_trained"] - res["a_cond"])
+
+    def test_l2_distance_has_no_closed_form_target(self, tmp_path):
+        res = read_report(self.run(tmp_path, epochs=2, tilting="l2_distance"))["results"]
+        assert res["trained_target"] is None
+        assert res["trained_abs_err"] is None
+        assert np.isfinite(res["a_trained"])
 
     def test_density_grid(self, tmp_path):
         outdir = self.run(tmp_path)

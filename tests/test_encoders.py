@@ -375,20 +375,20 @@ class TestSimilarity:
         rng = SeededRng(50)
         e_u = rng.split(0).standard_normal((4, 3))
         e_v = rng.split(1).standard_normal((4, 3))
-        sim = similarity_matrix(e_u, e_v, "inner_product", 0.5)
+        s = similarity_matrix(e_u, e_v, "inner_product", 0.5)
         for i in range(4):
             for j in range(4):
-                assert abs(sim.s[i, j] - e_u[i] @ e_v[j] / 0.5) < 1e-12
+                assert abs(s[i, j] - e_u[i] @ e_v[j] / 0.5) < 1e-12
 
     def test_l2_oracle(self):
         rng = SeededRng(51)
         e_u = rng.split(0).standard_normal((3, 2))
         e_v = rng.split(1).standard_normal((3, 2))
-        sim = similarity_matrix(e_u, e_v, "l2_distance", 2.0)
+        s = similarity_matrix(e_u, e_v, "l2_distance", 2.0)
         for i in range(3):
             for j in range(3):
                 want = -np.sum((e_u[i] - e_v[j]) ** 2) / 4.0
-                assert abs(sim.s[i, j] - want) < 1e-12
+                assert abs(s[i, j] - want) < 1e-12
 
     def test_tiltings_agree_on_unit_sphere_up_to_shift(self):
         # on normalized embeddings the two scores differ by a constant only
@@ -397,8 +397,8 @@ class TestSimilarity:
         e_v = rng.split(1).standard_normal((5, 4))
         e_u /= np.linalg.norm(e_u, axis=1, keepdims=True)
         e_v /= np.linalg.norm(e_v, axis=1, keepdims=True)
-        inner = similarity_matrix(e_u, e_v, "inner_product", 1.0).s
-        l2 = similarity_matrix(e_u, e_v, "l2_distance", 1.0).s
+        inner = similarity_matrix(e_u, e_v, "inner_product", 1.0)
+        l2 = similarity_matrix(e_u, e_v, "l2_distance", 1.0)
         np.testing.assert_allclose(l2, inner - 1.0, atol=1e-12)
 
     def test_validation(self):
@@ -423,7 +423,7 @@ class TestSimilarity:
             dv = rng.split(4, probe).standard_normal(e_v.shape)
 
             def val(t):
-                s = similarity_matrix(e_u + t * du, e_v + t * dv, tilting, 0.7).s
+                s = similarity_matrix(e_u + t * du, e_v + t * dv, tilting, 0.7)
                 return float(np.sum(ds * s))
 
             fd = (val(step) - val(-step)) / (2 * step)

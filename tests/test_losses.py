@@ -2,6 +2,8 @@
 reimplementations of the MMD estimators, and FD checks on every score
 gradient."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import softmax
@@ -14,6 +16,10 @@ from tiltlab.rng import SeededRng
 
 def random_scores(seed, n):
     return SeededRng(seed).standard_normal((n, n))
+
+
+def score_grad(kind, s):
+    return losses.loss_value_and_grad(kind, s)[1]
 
 
 class TestClipAndCond:
@@ -56,13 +62,13 @@ class TestClipAndCond:
         assert abs(losses.loss_cond(s + 3.7, 1.0, 1.0) - losses.loss_cond(s, 1.0, 1.0)) < 1e-12
 
     def test_grad_cond_frozen_at_zero(self):
-        g = losses.grad_cond(np.zeros((2, 2)), 1.0, 1.0)
+        g = score_grad(LossKind("cond"), np.zeros((2, 2)))
         np.testing.assert_allclose(g, -0.5 * np.eye(2) + 0.25, atol=1e-15)
 
     @pytest.mark.parametrize("lams", [(1.0, 1.0), (2.0, 0.0), (0.0, 2.0), (0.7, 1.3)])
     def test_grad_cond_matches_fd(self, lams):
         s = random_scores(3, 5)
-        g = losses.grad_cond(s, *lams)
+        g = score_grad(LossKind("cond", *lams), s)
         rng = SeededRng(4)
         step = 1e-6
         for probe in range(5):
@@ -77,7 +83,7 @@ class TestClipAndCond:
         # the clip gradient is the (1, 1) cond gradient: the log N offset
         # of loss_clip is constant in s
         s = random_scores(5, 4)
-        g = losses.grad_cond(s, 1.0, 1.0)
+        g = score_grad(LossKind("clip"), s)
         rng = SeededRng(6)
         step = 1e-6
         for probe in range(5):
@@ -93,11 +99,6 @@ class TestClipAndCond:
         with pytest.raises(ValueError):
             losses.loss_cond(np.zeros((1, 1)), 1.0, 1.0)
 
-    def test_accepts_similarity_batch(self):
-        e = SeededRng(7).standard_normal((3, 2))
-        sim = similarity_matrix(e, e, "inner_product", 1.0)
-        assert losses.loss_clip(sim) == losses.loss_clip(sim.s)
-
 
 class TestJoint:
     def test_hand_value(self):
@@ -109,19 +110,19 @@ class TestJoint:
         assert abs(losses.loss_joint(np.zeros(3), np.zeros((3, 3)))) < 1e-14
 
     def test_grad_matches_fd(self):
+        # the training form: positives on the diagonal of s, every entry a negative
         rng = SeededRng(8)
-        pos = rng.split(0).standard_normal(4)
-        neg = rng.split(1).standard_normal((4, 4))
-        g_pos, g_neg = losses.grad_joint(pos, neg)
+        s = rng.split(1).standard_normal((4, 4))
+        g = score_grad(LossKind("joint"), s)
+
+        def value_at(t):
+            return losses.loss_joint(np.diag(t), t)
+
         step = 1e-6
         for probe in range(4):
-            dp = rng.split(2, probe).standard_normal(pos.shape)
-            dn = rng.split(3, probe).standard_normal(neg.shape)
-            fd = (
-                losses.loss_joint(pos + step * dp, neg + step * dn)
-                - losses.loss_joint(pos - step * dp, neg - step * dn)
-            ) / (2 * step)
-            an = float(np.sum(g_pos * dp) + np.sum(g_neg * dn))
+            d = rng.split(3, probe).standard_normal(s.shape)
+            fd = (value_at(s + step * d) - value_at(s - step * d)) / (2 * step)
+            an = float(np.sum(g * d))
             assert abs(fd - an) <= 1e-7 * max(abs(fd), abs(an), 1e-8)
 
     def test_needs_two_positives(self):
@@ -268,7 +269,7 @@ class TestCondMmd:
         s = rng.split(0).standard_normal((4, 4))
         k_u = losses.kernel_gram(Kernel("gaussian"), rng.split(1).standard_normal((4, 3)))
         k_v = losses.kernel_gram(Kernel("gaussian"), rng.split(2).standard_normal((4, 2)))
-        g = losses.cond_mmd_grad_scores(s, k_u, k_v, 0.8, 1.4)
+        g = losses._cond_mmd(s, k_u, k_v, 0.8, 1.4)[1]
         step = 1e-6
         for probe in range(5):
             d = rng.split(3, probe).standard_normal(s.shape)
@@ -292,57 +293,124 @@ class TestCondMmd:
         assert got == want
 
 
+def product_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Paired rows z_i = (u_i, v_i) and all N^2 product pairs zt, ordered
+    u-major so zt[i*N + j] = (u_i, v_j) lines up with a flattened score
+    matrix."""
+    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    if u.shape[0] != v.shape[0]:
+        raise ValueError("paired batches must have equal length")
+    n = u.shape[0]
+    z = np.hstack([u, v])
+    zt = np.hstack([np.repeat(u, n, axis=0), np.tile(v, (n, 1))])
+    return z, zt
+
+
+def joint_mmd_product_batch(u, v, scores, kernel):
+    """The joint MMD and its score gradient from the explicit product batch
+    and its N^2 x N^2 Gram: the direct form of the definition, kept as the
+    oracle for the factored library form."""
+    z, zt = product_batch(u, v)
+    w = softmax(np.ravel(scores))
+    cross_means = losses.kernel_gram(kernel, z, zt).mean(axis=0)
+    g_tt = losses.kernel_gram(kernel, zt)
+    value = float(-2.0 * w @ cross_means + w @ g_tt @ w)
+    dw = -2.0 * cross_means + 2.0 * g_tt @ w
+    g = w * (dw - float(dw @ w))
+    return value, g.reshape(np.shape(scores))
+
+
+JOINT_KERNELS = [
+    Kernel("gaussian", bandwidth=1.3),
+    Kernel("polynomial", degree=1, offset=0.7),
+    Kernel("polynomial", degree=2, offset=0.7),
+    Kernel("polynomial", degree=3, offset=0.7),
+]
+
+
 class TestJointMmd:
     def test_loop_oracle(self):
         rng = SeededRng(20)
-        z = rng.split(0).standard_normal((3, 4))
-        zt = rng.split(1).standard_normal((9, 4))
-        scores = rng.split(2).standard_normal(9)
+        u = rng.split(0).standard_normal((3, 2))
+        v = rng.split(1).standard_normal((3, 2))
+        scores = rng.split(2).standard_normal((3, 3))
         k = Kernel("gaussian", bandwidth=1.2)
         w = softmax(scores)
+        z = np.hstack([u, v])
+        pairs = [(i, j) for i in range(3) for j in range(3)]
 
         def kval(a, b):
             return np.exp(-np.sum((a - b) ** 2) / (2 * 1.2**2))
 
         want = 0.0
-        for j in range(9):
-            want += -2.0 * w[j] * np.mean([kval(z[i], zt[j]) for i in range(3)])
-            for jp in range(9):
-                want += w[j] * w[jp] * kval(zt[j], zt[jp])
-        got = losses.loss_joint_mmd(z, zt, scores, k)
+        for i, j in pairs:
+            zt = np.concatenate([u[i], v[j]])
+            want += -2.0 * w[i, j] * np.mean([kval(z[m], zt) for m in range(3)])
+            for ip, jp in pairs:
+                want += w[i, j] * w[ip, jp] * kval(zt, np.concatenate([u[ip], v[jp]]))
+        got = losses.loss_joint_mmd(u, v, scores, k)
         assert abs(got - want) < 1e-12
 
-    def test_grad_matches_fd(self):
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("kernel", JOINT_KERNELS, ids=lambda k: f"{k.family}-{k.degree}")
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_matches_product_batch_oracle(self, n, kernel, dims):
+        rng = SeededRng(24).split(n, *dims)
+        u = rng.split(0).standard_normal((n, dims[0]))
+        v = rng.split(1).standard_normal((n, dims[1]))
+        scores = rng.split(2).standard_normal((n, n))
+        value, g = losses._joint_mmd(u, v, scores, kernel)
+        want_value, want_g = joint_mmd_product_batch(u, v, scores, kernel)
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        np.testing.assert_allclose(g, want_g, rtol=0, atol=1e-12 * np.abs(want_g).max())
+
+    @pytest.mark.parametrize("kernel", JOINT_KERNELS, ids=lambda k: f"{k.family}-{k.degree}")
+    def test_grad_matches_fd(self, kernel):
         rng = SeededRng(21)
-        z = rng.split(0).standard_normal((3, 2))
-        zt = rng.split(1).standard_normal((9, 2))
-        scores = rng.split(2).standard_normal((3, 3))
-        k = Kernel("gaussian")
-        g = losses.joint_mmd_grad_scores(z, zt, scores.ravel(), k).reshape(3, 3)
+        u = rng.split(0).standard_normal((5, 2))
+        v = rng.split(1).standard_normal((5, 3))
+        scores = rng.split(2).standard_normal((5, 5))
+        _, g = losses._joint_mmd(u, v, scores, kernel)
         step = 1e-6
         for probe in range(5):
-            d = rng.split(3, probe).standard_normal((3, 3))
+            d = rng.split(3, probe).standard_normal((5, 5))
             fd = (
-                losses.loss_joint_mmd(z, zt, (scores + step * d).ravel(), k)
-                - losses.loss_joint_mmd(z, zt, (scores - step * d).ravel(), k)
+                losses.loss_joint_mmd(u, v, scores + step * d, kernel)
+                - losses.loss_joint_mmd(u, v, scores - step * d, kernel)
             ) / (2 * step)
             an = float(np.sum(g * d))
             assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-8)
+
+    def test_memory_stays_at_batch_scale(self):
+        # N x N Grams only: the product-batch Gram at N = 64 alone is 128 MB
+        rng = SeededRng(26)
+        u = rng.split(0).standard_normal((64, 1))
+        v = rng.split(1).standard_normal((64, 1))
+        s = rng.split(2).standard_normal((64, 64))
+        kind = LossKind("joint_mmd", kernel=Kernel("gaussian"))
+        tracemalloc.start()
+        try:
+            losses.loss_value_and_grad(kind, s, u, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_weights_reject_all_neginf(self):
         with pytest.raises(ValueError):
             losses.joint_mmd_weights(np.full(4, -np.inf))
 
     def test_score_count_must_match(self):
-        with pytest.raises(ValueError):
-            losses.loss_joint_mmd(np.zeros((2, 2)), np.zeros((4, 4)), np.zeros(3), Kernel("gaussian"))
+        with pytest.raises(ValueError, match="one score per pairing"):
+            losses.loss_joint_mmd(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((3, 3)), Kernel("gaussian"))
 
 
 class TestProductBatch:
     def test_ordering_is_u_major(self):
         u = np.array([[1.0], [2.0], [3.0]])
         v = np.array([[10.0], [20.0], [30.0]])
-        z, zt = losses.product_batch(u, v)
+        z, zt = product_batch(u, v)
         np.testing.assert_array_equal(z, [[1, 10], [2, 20], [3, 30]])
         assert zt.shape == (9, 2)
         for i in range(3):
@@ -351,7 +419,9 @@ class TestProductBatch:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            losses.product_batch(np.zeros((2, 1)), np.zeros((3, 1)))
+            product_batch(np.zeros((2, 1)), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="equal length"):
+            losses.loss_joint_mmd(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 2)), Kernel("gaussian"))
 
 
 class TestLossKind:
@@ -377,31 +447,31 @@ class TestDispatch:
         self.e_v = rng.split(1).standard_normal((5, 3))
         self.u_batch = rng.split(2).standard_normal((5, 2))
         self.v_batch = rng.split(3).standard_normal((5, 4))
-        self.sim = similarity_matrix(self.e_u, self.e_v, "inner_product", 0.5)
+        self.s = similarity_matrix(self.e_u, self.e_v, "inner_product", 0.5)
 
     def value_of(self, kind):
-        val, _ = losses.loss_value_and_grad(kind, self.sim, self.u_batch, self.v_batch)
+        val, _ = losses.loss_value_and_grad(kind, self.s, self.u_batch, self.v_batch)
         return val
 
     def test_clip_and_cond_values(self):
-        assert self.value_of(LossKind("clip")) == losses.loss_clip(self.sim.s)
+        assert self.value_of(LossKind("clip")) == losses.loss_clip(self.s)
         kind = LossKind("cond", 0.5, 1.5)
-        assert self.value_of(kind) == losses.loss_cond(self.sim.s, 0.5, 1.5)
+        assert self.value_of(kind) == losses.loss_cond(self.s, 0.5, 1.5)
 
     def test_joint_uses_all_pairings_as_negatives(self):
-        want = losses.loss_joint(np.diag(self.sim.s), self.sim.s)
+        want = losses.loss_joint(np.diag(self.s), self.s)
         assert self.value_of(LossKind("joint")) == want
 
     def test_mmd_variants_need_batches(self):
         kind = LossKind("cond_mmd", kernel=Kernel("gaussian"))
         with pytest.raises(ValueError):
-            losses.loss_value_and_grad(kind, self.sim)
+            losses.loss_value_and_grad(kind, self.s)
 
     def test_cond_mmd_value(self):
         k = Kernel("gaussian", bandwidth=0.8)
         kind = LossKind("cond_mmd", 1.0, 1.0, kernel=k)
         want = losses.cond_mmd_from_grams(
-            self.sim.s,
+            self.s,
             losses.kernel_gram(k, self.u_batch),
             losses.kernel_gram(k, self.v_batch),
             1.0,
@@ -412,8 +482,7 @@ class TestDispatch:
     def test_joint_mmd_value(self):
         k = Kernel("gaussian", bandwidth=1.5)
         kind = LossKind("joint_mmd", kernel=k)
-        z, zt = losses.product_batch(self.u_batch, self.v_batch)
-        want = losses.loss_joint_mmd(z, zt, self.sim.s.ravel(), k)
+        want = losses.loss_joint_mmd(self.u_batch, self.v_batch, self.s, k)
         assert self.value_of(kind) == want
 
     @pytest.mark.parametrize(
@@ -433,7 +502,7 @@ class TestDispatch:
             val, _ = losses.loss_value_and_grad(kind, s, self.u_batch, self.v_batch)
             return val
 
-        s0 = self.sim.s
+        s0 = self.s
         _, g = losses.loss_value_and_grad(kind, s0, self.u_batch, self.v_batch)
         rng = SeededRng(23)
         step = 1e-6
@@ -445,8 +514,8 @@ class TestDispatch:
 
 
 def generic_chain(kind, e_u, e_v, tilting, tau):
-    sb = similarity_matrix(e_u, e_v, tilting, tau)
-    value, ds = losses.loss_value_and_grad(kind, sb)
+    s = similarity_matrix(e_u, e_v, tilting, tau)
+    value, ds = losses.loss_value_and_grad(kind, s)
     cot_u, cot_v = similarity_vjp(e_u, e_v, tilting, tau, ds)
     return value, cot_u, cot_v
 
@@ -477,7 +546,7 @@ class TestScoreStep:
         assert abs(value - want_value) <= 1e-12 * scale
         np.testing.assert_allclose(cot_u, want_u, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(cot_v, want_v, rtol=0, atol=1e-12 * scale)
-        scores = similarity_matrix(e_u, e_v, tilting, tau).s
+        scores = similarity_matrix(e_u, e_v, tilting, tau)
         assert shifted == bool(np.abs(scores).max() >= losses.EXP_LIMIT)
         if tau == 1e-3 and n > 2:
             assert shifted

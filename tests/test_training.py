@@ -211,6 +211,20 @@ class TestTrainLoop:
             assert hist.shifted_steps == want
             assert all(np.isfinite(hist.losses))
 
+    def test_joint_mmd_trains_at_batch_512(self):
+        # the joint MMD needs only N x N Grams, so a full-size batch is cheap
+        data = toy_data(4, 2048)
+        spec = encoders.linear_spec(1, 2)
+        pu = encoders.init_params(spec, SeededRng(5).split(0))
+        pv = encoders.init_params(spec, SeededRng(5).split(1))
+        loss = LossKind("joint_mmd", kernel=losses.Kernel("gaussian"))
+        cfg = small_config(epochs=2, batch_size=512, loss=loss)
+        out_u, out_v, hist = train(cfg, data, spec, spec, pu, pv)
+        assert len(hist.losses) == 2
+        assert all(np.isfinite(hist.losses))
+        assert not np.array_equal(out_u.theta, pu.theta)
+        assert not np.array_equal(out_v.theta, pv.theta)
+
     def test_deterministic_rerun(self):
         data = toy_data(2, 64)
         spec = encoders.linear_spec(1, 2)

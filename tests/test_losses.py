@@ -365,22 +365,29 @@ class TestJointMmd:
         assert abs(value - want_value) <= 1e-12 * abs(want_value)
         np.testing.assert_allclose(g, want_g, rtol=0, atol=1e-12 * np.abs(want_g).max())
 
-    @pytest.mark.parametrize("kernel", JOINT_KERNELS, ids=lambda k: f"{k.family}-{k.degree}")
-    def test_grad_matches_fd(self, kernel):
-        rng = SeededRng(21)
-        u = rng.split(0).standard_normal((5, 2))
-        v = rng.split(1).standard_normal((5, 3))
-        scores = rng.split(2).standard_normal((5, 5))
+    @staticmethod
+    def _check_grad_fd(rng, n, dims, kernel):
+        u = rng.split(0).standard_normal((n, dims[0]))
+        v = rng.split(1).standard_normal((n, dims[1]))
+        scores = rng.split(2).standard_normal((n, n))
         _, g = losses._joint_mmd(u, v, scores, kernel)
         step = 1e-6
         for probe in range(5):
-            d = rng.split(3, probe).standard_normal((5, 5))
+            d = rng.split(3, probe).standard_normal((n, n))
             fd = (
                 losses.loss_joint_mmd(u, v, scores + step * d, kernel)
                 - losses.loss_joint_mmd(u, v, scores - step * d, kernel)
             ) / (2 * step)
             an = float(np.sum(g * d))
             assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-8)
+
+    def test_grad_matches_fd(self):
+        # default Gaussian kernel: bandwidth from the median heuristic
+        self._check_grad_fd(SeededRng(21), 3, (1, 1), Kernel("gaussian"))
+
+    @pytest.mark.parametrize("kernel", JOINT_KERNELS, ids=lambda k: f"{k.family}-{k.degree}")
+    def test_grad_matches_fd_per_kernel(self, kernel):
+        self._check_grad_fd(SeededRng(21), 5, (2, 3), kernel)
 
     def test_memory_stays_at_batch_scale(self):
         # N x N Grams only: the product-batch Gram at N = 64 alone is 128 MB

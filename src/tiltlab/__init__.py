@@ -18,7 +18,6 @@ from .gaussian import (
     CosineLinear,
     GaussianConditionalMap,
     QuadraticTiltingParams,
-    SolverConfig,
     cond_loss_closed,
     conditional_u_given_v,
     conditional_v_given_u,
@@ -44,11 +43,9 @@ from .encoders import (
     frozen_table_spec,
     init_params,
     linear_spec,
-    load_checkpoint,
     mlp_spec,
     one_hot_spec,
     params_from_table,
-    save_checkpoint,
     similarity_matrix,
     similarity_vjp,
 )
@@ -58,7 +55,6 @@ from .losses import (
     kernel_gram,
     loss_clip,
     loss_cond,
-    loss_cond_mmd,
     loss_joint,
     loss_joint_mmd,
     loss_value_and_grad,
@@ -73,10 +69,8 @@ from .crossmodal import (
     classify,
     classify_finetuned,
     fine_tune,
-    load_index,
     recall_at_k,
     retrieve,
-    save_index,
 )
 from .datagen import (
     FlowConfig,
@@ -87,10 +81,8 @@ from .datagen import (
     gp_modality_pair,
     lagrangian_dataset,
     lagrangian_pair,
-    load_dataset,
     mnist_load,
     sample_block_gaussian,
-    save_dataset,
     velocity_eval,
 )
 from .rng import SeededRng

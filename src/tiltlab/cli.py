@@ -186,6 +186,11 @@ class RunPlan:
         self.experiment, self.seed = cfg["experiment"], cfg["seed"]
         self.output_dir, self.sweep, self.blocks = cfg["output_dir"], cfg["sweep"], cfg["gaussian"]
         root = _built("config.seed", SeededRng, self.seed)
+        sizes = self.sweep["sample_sizes"]
+        if self.experiment in ("gaussian2d", "lagrangian") and len(sizes) > 1:
+            raise ConfigError(
+                f"config.sweep.sample_sizes: {self.experiment} runs one sample size, got {len(sizes)}"
+            )
         if self.experiment == "gaussian2d" and (self.blocks.n_x, self.blocks.n_y) != (1, 1):
             raise ConfigError("config.gaussian: gaussian2d expects 1-d u and v blocks")
         self.train = self.flow = None
@@ -222,6 +227,8 @@ def _config_hash(echo: dict) -> str:
 
 
 def _write_csv(plan: RunPlan, name: str, header: list, rows: list):
+    """The one CSV writer: name.csv, floats at 17 significant digits, and its
+    name.meta.json sidecar; returns the artifact name for the report."""
     path = os.path.join(plan.output_dir, name + ".csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -374,8 +381,7 @@ def _run_gaussian2d(plan: RunPlan):
     spec_u, spec_v, init_u, init_v = _linear_pair_inits(1, 1, 1, plan.seed, 0)
     params_u, params_v, history = training.train(plan.train, data, spec_u, spec_v, init_u, init_v)
     a_hat = _trained_tilt_matrix(spec_u, params_u, spec_v, params_v) / plan.train.tau
-    history.to_csv(os.path.join(plan.output_dir, "training.csv"))
-    artifacts.append("training.csv")
+    artifacts.append(_write_csv(plan, "training", *history.table()))
     results = {
         "a_cond": float(a_cond[0, 0]),
         "a_joint": float(a_joint[0, 0]),
@@ -453,9 +459,7 @@ def _run_mnist(plan: RunPlan):
 
     # labels ride in the u slot (one-hot, frozen) so the u-given-v side of
     # the conditional loss is exactly label cross-entropy given the image
-    data = datagen.PairedDataset(
-        u=labels[:, None].astype(np.float64), v=images, meta={"generator": "mnist"}
-    )
+    data = datagen.PairedDataset(u=labels[:, None].astype(np.float64), v=images)
     spec_u = encoders.one_hot_spec(10)
     spec_v = encoders.mlp_spec([images.shape[1], plan.hidden, 10], activation="relu")
     init_u = encoders.init_params(spec_u, SeededRng(plan.seed).split(10, 1))
@@ -475,8 +479,7 @@ def _run_mnist(plan: RunPlan):
     params_u, params_v, history = training.train(
         plan.train, data, spec_u, spec_v, init_u, init_v, probe=probe
     )
-    history.to_csv(os.path.join(plan.output_dir, "accuracy.csv"))
-    artifacts = ["accuracy.csv"]
+    artifacts = [_write_csv(plan, "accuracy", *history.table())]
 
     logits = encoders.encode(spec_v, params_v, test_images[:20]) / plan.train.tau
     counts = np.bincount(labels, minlength=10)
@@ -541,11 +544,7 @@ def _run_lagrangian(plan: RunPlan):
         normalized=True,
     )
     init_v = encoders.init_params(spec_v, root.split(10, 0))
-    train_view = datagen.PairedDataset(
-        u=np.arange(n_train, dtype=np.float64)[:, None],
-        v=feats[:n_train],
-        meta={"generator": "lagrangian_train_view"},
-    )
+    train_view = datagen.PairedDataset(u=np.arange(n_train, dtype=np.float64)[:, None], v=feats[:n_train])
     test_ids = np.arange(n_train, n_total)
 
     def recalls(params_v) -> dict:
@@ -566,7 +565,7 @@ def _run_lagrangian(plan: RunPlan):
     params_u, params_v, history = training.train(
         plan.train, train_view, spec_u, spec_v, params_u, init_v, probe=probe
     )
-    history.to_csv(os.path.join(plan.output_dir, "recall.csv"))
+    artifacts = [_write_csv(plan, "recall", *history.table())]
     final = history.metrics[-1]
     _write_report(
         plan,
@@ -578,7 +577,7 @@ def _run_lagrangian(plan: RunPlan):
             "coeff_dim": coeff_dim,
             "feature_dim": int(feats.shape[1]),
         },
-        ["recall.csv"],
+        artifacts,
     )
 
 

@@ -8,14 +8,12 @@ always resolve to the smaller row index, so every ranking is deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoders import EncoderParams, EncoderSpec, _unit_rows, encode
 from .errors import NonFiniteGradient
-from .linalg import matrix_from_json, matrix_to_json
 from .losses import _axis_lse_softmax
 from .training import AdamState, TrainConfig, adam_step, epoch_batches
 
@@ -24,7 +22,6 @@ from .training import AdamState, TrainConfig, adam_step, epoch_batches
 class EmbeddingIndex:
     items: np.ndarray
     ids: tuple
-    normalized: bool
 
     def __post_init__(self):
         items = np.asarray(self.items, dtype=np.float64)
@@ -38,7 +35,7 @@ def build_index(items, ids, normalized: bool = True) -> EmbeddingIndex:
     items = np.asarray(items, dtype=np.float64)
     if normalized:
         items = _unit_rows(items)[0]
-    return EmbeddingIndex(items=items, ids=tuple(ids), normalized=normalized)
+    return EmbeddingIndex(items=items, ids=tuple(ids))
 
 
 def retrieve(query_embedding, index: EmbeddingIndex, k: int):
@@ -178,27 +175,4 @@ def recall_at_k(queries, truth_ids, index: EmbeddingIndex, k: int) -> float:
         if any(index.ids[i] == want for i in order):
             hits += 1
     return hits / len(truth) if truth else 0.0
-
-
-def index_to_json(index: EmbeddingIndex) -> dict:
-    return {
-        "ids": list(index.ids),
-        "matrix": matrix_to_json(index.items),
-        "normalized": index.normalized,
-    }
-
-
-def index_from_json(doc: dict) -> EmbeddingIndex:
-    items = matrix_from_json(doc["matrix"])
-    return EmbeddingIndex(items=items, ids=tuple(doc["ids"]), normalized=bool(doc["normalized"]))
-
-
-def save_index(path, index: EmbeddingIndex):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(index_to_json(index), fh)
-
-
-def load_index(path) -> EmbeddingIndex:
-    with open(path, encoding="utf-8") as fh:
-        return index_from_json(json.load(fh))
 

@@ -11,9 +11,7 @@ bit-identical to generating each sample alone from its own stream.
 from __future__ import annotations
 
 import gzip
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +27,6 @@ TWO_PI = 2.0 * np.pi
 class PairedDataset:
     u: np.ndarray
     v: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.u, dtype=np.float64))
@@ -50,8 +47,7 @@ def sample_block_gaussian(g: BlockGaussian, n: int, rng: SeededRng) -> PairedDat
     if n < 1:
         raise ValueError("need at least one sample")
     draws = chol_sample(np.zeros(g.n_x + g.n_y), g.joint(), n, rng)
-    meta = {"generator": "block_gaussian", "n": n, "rng": rng.describe()}
-    return PairedDataset(u=draws[:, : g.n_x], v=draws[:, g.n_x :], meta=meta)
+    return PairedDataset(u=draws[:, : g.n_x], v=draws[:, g.n_x :])
 
 
 @dataclass(frozen=True)
@@ -115,18 +111,7 @@ def gp_modality_pair(cfg: GpConfig, n: int, rng: SeededRng) -> PairedDataset:
     noise = rng.standard_normal((n, cfg.grid_points))
     u = xi @ phi.T + cfg.noise_sigma * noise
     v = xi[:, : cfg.n_coeffs].copy()
-    meta = {
-        "generator": "gaussian_gp",
-        "n": n,
-        "rng": rng.describe(),
-        "tau_inv_length": cfg.tau_inv_length,
-        "alpha": cfg.alpha,
-        "n_modes": cfg.n_modes,
-        "grid_points": cfg.grid_points,
-        "noise_sigma": cfg.noise_sigma,
-        "n_coeffs": cfg.n_coeffs,
-    }
-    return PairedDataset(u=u, v=v, meta=meta)
+    return PairedDataset(u=u, v=v)
 
 
 @dataclass(frozen=True)
@@ -288,18 +273,7 @@ def lagrangian_dataset(cfg: FlowConfig, n: int, rng: SeededRng) -> PairedDataset
     traj = _integrate(psi, cfg)
     u = np.stack([coeffs_to_real(p) for p in psi])
     v = traj.reshape(n, -1)
-    meta = {
-        "generator": "lagrangian",
-        "n": n,
-        "rng": rng.describe(),
-        "m": cfg.m,
-        "omega": list(cfg.omega),
-        "x0": list(cfg.x0),
-        "dt": cfg.dt,
-        "t_final": cfg.t_final,
-        "record_stride": cfg.record_stride,
-    }
-    return PairedDataset(u=u, v=v, meta=meta)
+    return PairedDataset(u=u, v=v)
 
 
 def torus_trajectory_features(v: np.ndarray) -> np.ndarray:
@@ -356,19 +330,3 @@ def mnist_load(images_path, labels_path):
     flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
     return flat, labels.astype(np.int64)
 
-
-def save_dataset(ds: PairedDataset, dir_path):
-    """Directory layout: meta.json + headerless u.csv / v.csv."""
-    os.makedirs(dir_path, exist_ok=True)
-    with open(os.path.join(dir_path, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(ds.meta, fh, sort_keys=True)
-    np.savetxt(os.path.join(dir_path, "u.csv"), ds.u, fmt="%.17g", delimiter=",")
-    np.savetxt(os.path.join(dir_path, "v.csv"), ds.v, fmt="%.17g", delimiter=",")
-
-
-def load_dataset(dir_path) -> PairedDataset:
-    with open(os.path.join(dir_path, "meta.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    u = np.loadtxt(os.path.join(dir_path, "u.csv"), delimiter=",", ndmin=2)
-    v = np.loadtxt(os.path.join(dir_path, "v.csv"), delimiter=",", ndmin=2)
-    return PairedDataset(u=u, v=v, meta=meta)

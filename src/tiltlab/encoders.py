@@ -19,7 +19,6 @@ for unit rows. encode and encode_vjp are its two halves.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -334,39 +333,3 @@ def similarity_vjp(e_u, e_v, tilting: str, tau: float, ds) -> tuple[np.ndarray, 
     cot_v = -(col * e_v - ds.T @ e_u) / tau
     return cot_u, cot_v
 
-
-def spec_to_json(spec: EncoderSpec) -> dict:
-    return {
-        "family": spec.family,
-        "dims": list(spec.dims),
-        "activation": spec.activation,
-        "normalized": spec.normalized,
-    }
-
-
-def spec_from_json(doc: dict) -> EncoderSpec:
-    return EncoderSpec(
-        family=doc["family"],
-        dims=tuple(doc["dims"]),
-        activation=doc.get("activation"),
-        normalized=bool(doc.get("normalized", False)),
-    )
-
-
-def save_checkpoint(path, spec: EncoderSpec, params: EncoderParams, seed, train_meta=None):
-    doc = {
-        "spec": spec_to_json(spec),
-        "params": params.theta.tolist(),
-        "seed": seed,
-        "train_meta": train_meta or {},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    spec = spec_from_json(doc["spec"])
-    params = EncoderParams(np.asarray(doc["params"], dtype=np.float64), spec.shape_table())
-    return spec, params, doc["seed"], doc.get("train_meta", {})

@@ -17,7 +17,7 @@ SVD govern every minimizer below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,18 +208,13 @@ def minimizer_joint(g: BlockGaussian, r: int | None = None) -> np.ndarray:
     return ru @ (u * d) @ vt @ rv
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Adam settings for the rank-constrained one-sided solver."""
-
-    learning_rate: float = 1e-2
-    max_iters: int = 5000
-    grad_tol: float = 1e-8
+# Adam settings for the rank-constrained one-sided solver
+SOLVER_LEARNING_RATE = 1e-2
+SOLVER_MAX_ITERS = 5000
+SOLVER_GRAD_TOL = 1e-8
 
 
-def minimizer_quadratic_onesided(
-    g: BlockGaussian, r: int | None = None, solver: SolverConfig | None = None
-) -> QuadraticTiltingParams:
+def minimizer_quadratic_onesided(g: BlockGaussian, r: int | None = None) -> QuadraticTiltingParams:
     """Minimizer of the one-sided (u given v) conditional loss over the
     quadratic tilting family.
 
@@ -236,7 +231,9 @@ def minimizer_quadratic_onesided(
         M = B + C_uu^{-1},  S = C_{u|v},  W = M^{1/2} C_uv C_vv^{-1/2},
 
     is minimized by Adam (training.adam_step) with an exact gradient
-    (including the Frechet derivative of the matrix square root).
+    (including the Frechet derivative of the matrix square root), at step
+    size SOLVER_LEARNING_RATE until the gradient norm is at most
+    SOLVER_GRAD_TOL; SolverDidNotConverge after SOLVER_MAX_ITERS steps.
     A*(r) = M^{1/2} (W)_r C_vv^{-1/2}.
     """
     cond = conditional_u_given_v(g)
@@ -250,7 +247,6 @@ def minimizer_quadratic_onesided(
         return QuadraticTiltingParams(a=a_star, b=b_star, c=zeros_c)
 
     r = _check_rank(r, g)
-    cfg = solver or SolverConfig()
     p = g.c_uv @ inv_sym_sqrt(g.c_vv)
     rv = inv_sym_sqrt(g.c_vv)
 
@@ -285,16 +281,16 @@ def minimizer_quadratic_onesided(
     theta = g_mat.ravel().copy()
     state = AdamState.zeros(theta.size)
     grad_norm = np.inf
-    for _ in range(cfg.max_iters):
+    for _ in range(SOLVER_MAX_ITERS):
         gflat = gradient(theta.reshape(r, g.n_x)).ravel()
         grad_norm = float(np.linalg.norm(gflat))
-        if grad_norm <= cfg.grad_tol:
+        if grad_norm <= SOLVER_GRAD_TOL:
             break
-        theta, state = adam_step(theta, gflat, state, cfg.learning_rate)
-    if grad_norm > cfg.grad_tol:
+        theta, state = adam_step(theta, gflat, state, SOLVER_LEARNING_RATE)
+    if grad_norm > SOLVER_GRAD_TOL:
         raise SolverDidNotConverge(
             f"rank-{r} one-sided solver: gradient norm {grad_norm:.3e} after "
-            f"{cfg.max_iters} iterations (tolerance {cfg.grad_tol:.1e})"
+            f"{SOLVER_MAX_ITERS} iterations (tolerance {SOLVER_GRAD_TOL:.1e})"
         )
     gm = theta.reshape(r, g.n_x)
     b_r = gm.T @ gm

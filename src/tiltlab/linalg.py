@@ -143,7 +143,7 @@ def chol_sample(mean: np.ndarray, cov: np.ndarray, n: int, rng: SeededRng) -> np
 
 def matrix_to_json(m: np.ndarray) -> dict:
     """The package's one JSON matrix format, {rows, cols, data row-major},
-    used by run reports and embedding indexes."""
+    used by run reports and verify's round-trip check."""
     m = as_matrix(m)
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": m.ravel().tolist()}
 

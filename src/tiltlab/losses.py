@@ -26,7 +26,7 @@ The joint MMD compares the paired batch with all N^2 pairings (u_i, v_j)
 but never forms them: the kernel on stacked pairs is a sum of Kronecker
 products of N x N Grams on u and on v (_joint_kernel_terms), so every term
 is an N x N matrix product. The N^2 x N^2 product-batch form survives only
-as the test oracle. The batch-level wrappers loss_cond_mmd and
+as the test oracle. cond_mmd_from_grams and the batch-level wrapper
 loss_joint_mmd evaluate a loss without a training step.
 """
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import TILTING_INNER, TILTINGS, similarity_matrix
+from .encoders import TILTING_INNER, TILTINGS
 
 KERNEL_FAMILIES = ("gaussian", "polynomial")
 SOFTMAX_VARIANTS = ("clip", "cond", "joint")
@@ -251,7 +251,8 @@ def _cond_mmd_side(k_gram: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray
     s_term = (np.sum(w * kw) - np.sum(kdiag[:, None] * w**2)) / (n - 1)
     x_term = (np.einsum("ij,ji->", k_gram, w) - np.sum(kdiag * np.diag(w))) / (n - 1)
     d_self = (kw - kdiag[:, None] * w) / (n - 1)
-    d_cross = (k_gram.T - np.diag(kdiag)) / (n - 1)
+    d_cross = k_gram.T / (n - 1)
+    np.fill_diagonal(d_cross, 0.0)
     return 0.5 * float(s_term) - float(x_term), d_self - d_cross
 
 
@@ -287,15 +288,6 @@ def _cond_mmd(s, k_u, k_v, lam_u: float, lam_v: float) -> tuple[float, np.ndarra
 def cond_mmd_from_grams(s, k_u: np.ndarray, k_v: np.ndarray, lam_u: float, lam_v: float) -> float:
     """Conditional MMD loss from explicit Gram matrices and a score matrix."""
     return _cond_mmd(s, k_u, k_v, lam_u, lam_v)[0]
-
-
-def loss_cond_mmd(e_u, e_v, kernel: Kernel, lam_u, lam_v, tilting: str, tau: float) -> float:
-    """Self-contained conditional MMD: kernel Grams and tilting scores both
-    computed from the given batches."""
-    s = similarity_matrix(e_u, e_v, tilting, tau)
-    k_u = kernel_gram(kernel, e_u)
-    k_v = kernel_gram(kernel, e_v)
-    return cond_mmd_from_grams(s, k_u, k_v, lam_u, lam_v)
 
 
 def joint_mmd_weights(scores) -> np.ndarray:

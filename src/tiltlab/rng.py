@@ -39,9 +39,5 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def describe(self) -> dict:
-        """Seed and spawn path, for provenance metadata."""
-        return {"seed": self.seed, "path": list(self.path)}
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"SeededRng(seed={self.seed}, path={self.path})"

@@ -27,7 +27,6 @@ naming the epoch and step.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -83,17 +82,16 @@ class TrainHistory:
     seconds: list[float] = field(default_factory=list)
     shifted_steps: list[int] = field(default_factory=list)
 
-    def to_csv(self, path):
-        """epoch, loss, then metric columns. Wall-clock stays out of the
-        file so identical runs emit identical bytes."""
+    def table(self) -> tuple[list, list]:
+        """(header, rows): epoch, loss, then the sorted metric keys, blank
+        where an epoch lacks a metric. Wall-clock stays out so identical
+        runs emit identical bytes."""
         keys = sorted({k for m in self.metrics for k in m})
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", *keys])
-            for epoch, (loss, met) in enumerate(zip(self.losses, self.metrics)):
-                writer.writerow(
-                    [epoch, f"{loss:.17g}", *(f"{met[k]:.17g}" if k in met else "" for k in keys)]
-                )
+        rows = [
+            [epoch, float(loss), *(float(met[k]) if k in met else "" for k in keys)]
+            for epoch, (loss, met) in enumerate(zip(self.losses, self.metrics))
+        ]
+        return ["epoch", "loss", *keys], rows
 
 
 @dataclass

@@ -391,7 +391,7 @@ def test_criterion_10_classification_is_cross_entropy():
             split = images.shape[0] // 6
             test_images, test_labels = images[-split:], labels[-split:]
             images, labels = images[:-split], labels[:-split]
-        data = PairedDataset(u=labels[:, None].astype(np.float64), v=images, meta={})
+        data = PairedDataset(u=labels[:, None].astype(np.float64), v=images)
         spec_img = encoders.mlp_spec([images.shape[1], 128, 10], activation="relu")
         cfg = TrainConfig(
             seed=1234,
@@ -449,7 +449,7 @@ def test_criterion_11_trajectory_retrieval_beats_chance():
         tilting="inner_product",
     )
     view = PairedDataset(
-        u=np.arange(n_train, dtype=np.float64)[:, None], v=feats[:n_train], meta={}
+        u=np.arange(n_train, dtype=np.float64)[:, None], v=feats[:n_train]
     )
     test_ids = np.arange(n_train, n_total)
 

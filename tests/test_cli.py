@@ -61,6 +61,18 @@ def read_report(outdir):
         return json.load(fh)
 
 
+def write_idx_pair(tmp_path):
+    """A 12-image IDX pair of 2x2 images, labels 0..9 then 0, 1."""
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+
+    def header(*words):
+        return b"".join(w.to_bytes(4, "big") for w in words)
+
+    images.write_bytes(header(0x803, 12, 2, 2) + bytes(48))
+    labels.write_bytes(header(0x801, 12) + bytes(i % 10 for i in range(12)))
+    return str(images), str(labels)
+
+
 class TestConfigErrors:
     """Bad configs exit 2 with a pointed message and write nothing."""
 
@@ -198,16 +210,23 @@ class TestConfigErrors:
                 lambda idx: {"images": idx[0], "labels": idx[1], "test_labels": idx[1]},
                 "config.mnist.test_images: required when test_labels is given",
             ),
+            (
+                "gaussian2d",
+                "sweep",
+                {"sample_sizes": [300, 5000]},
+                "config.sweep.sample_sizes: gaussian2d runs one sample size, got 2",
+            ),
+            (
+                "lagrangian",
+                "sweep",
+                {"sample_sizes": [300, 5000]},
+                "config.sweep.sample_sizes: lagrangian runs one sample size, got 2",
+            ),
         ],
     )
     def test_malformed_block(self, tmp_path, capsys, experiment, key, value, message):
-        # a 12-image IDX pair, so the mnist case gets past the missing-file skip
-        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
-        def header(*words):
-            return b"".join(w.to_bytes(4, "big") for w in words)
-
-        images.write_bytes(header(0x803, 12, 2, 2) + bytes(48))
-        labels.write_bytes(header(0x801, 12) + bytes(i % 10 for i in range(12)))
+        # a real IDX pair, so the mnist case gets past the missing-file skip
+        idx = write_idx_pair(tmp_path)
         outdir = tmp_path / "o"
         doc = {
             "experiment": experiment,
@@ -219,7 +238,7 @@ class TestConfigErrors:
                 "learning_rate": 1e-3,
                 "loss": {"variant": "cond"},
             },
-            key: value((str(images), str(labels))) if callable(value) else value,
+            key: value(idx) if callable(value) else value,
         }
         err = self.run_expecting_config_error(["run", write_config(tmp_path, doc)], capsys)
         assert message in err
@@ -594,20 +613,15 @@ class TestMnist:
 
     @pytest.mark.parametrize("absent", ["test_images", "test_labels"])
     def test_missing_test_file_skips(self, tmp_path, capsys, absent):
-        # the 12-image IDX pair of test_malformed_block, as train and test set
-        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
-        def header(*words):
-            return b"".join(w.to_bytes(4, "big") for w in words)
-
-        images.write_bytes(header(0x803, 12, 2, 2) + bytes(48))
-        labels.write_bytes(header(0x801, 12) + bytes(i % 10 for i in range(12)))
+        # one IDX pair as train and test set
+        images, labels = write_idx_pair(tmp_path)
         outdir = tmp_path / "out"
         doc = self.base_doc(outdir)
         doc["mnist"] = {
-            "images": str(images),
-            "labels": str(labels),
-            "test_images": str(images),
-            "test_labels": str(labels),
+            "images": images,
+            "labels": labels,
+            "test_images": images,
+            "test_labels": labels,
             absent: str(tmp_path / "absent.idx"),
         }
         rc = cli.main(["run", write_config(tmp_path, doc)])
@@ -615,6 +629,48 @@ class TestMnist:
         assert rc == 0
         assert f"mnist: skipped (missing files: ['{tmp_path / 'absent.idx'}'])" in captured.out
         assert read_report(outdir)["results"]["skipped"].startswith("missing MNIST files")
+
+
+SMALL_RUNS = {
+    "closed-form": {},
+    "gaussian2d": {"sweep": {"sample_sizes": [256]}},
+    "gaussian-gp": {
+        "gp": {"n_modes": 20, "grid_points": 4},
+        "sweep": {"sample_sizes": [64], "batch_sizes": [16]},
+    },
+    "lagrangian": {
+        "flow": {"m": 1, "dt": 0.01, "t_final": 0.1},
+        "sweep": {"sample_sizes": [16]},
+        "heldout": 8,
+        "hidden": 8,
+    },
+    "mnist": {"hidden": 4},
+}
+
+
+@pytest.mark.parametrize("experiment", list(SMALL_RUNS))
+def test_every_csv_has_a_sidecar_naming_its_columns(tmp_path, experiment):
+    outdir = tmp_path / "out"
+    doc = {
+        "experiment": experiment,
+        "seed": 1,
+        "output_dir": str(outdir),
+        "train": train_block(),
+        **SMALL_RUNS[experiment],
+    }
+    if experiment == "mnist":
+        images, labels = write_idx_pair(tmp_path)
+        doc["mnist"] = {"images": images, "labels": labels}
+    assert cli.main(["run", write_config(tmp_path, doc)]) == 0
+    artifacts = read_report(outdir)["artifacts"]
+    assert sorted(artifacts) == sorted(p.name for p in outdir.glob("*.csv"))
+    assert artifacts
+    for name in artifacts:
+        with open(outdir / name, encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh))
+        sidecar = json.loads((outdir / name.replace(".csv", ".meta.json")).read_text(encoding="utf-8"))
+        assert sidecar["columns"] == header
+        assert sidecar["experiment"] == experiment
 
 
 def valid_configs():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp, softmax
 
-from tiltlab import crossmodal, encoders
+from tiltlab import encoders
 from tiltlab.crossmodal import (
     ClassifierHead,
     build_index,
@@ -54,22 +54,6 @@ class TestIndex:
     def test_id_count_enforced(self):
         with pytest.raises(ValueError):
             build_index(np.ones((3, 2)), ids=[0, 1])
-
-    def test_json_round_trip(self, tmp_path):
-        items = SeededRng(2).standard_normal((4, 3))
-        idx = build_index(items, ids=["w", "x", "y", "z"], normalized=False)
-        path = tmp_path / "index.json"
-        crossmodal.save_index(path, idx)
-        back = crossmodal.load_index(path)
-        np.testing.assert_array_equal(back.items, idx.items)
-        assert back.ids == idx.ids
-        assert back.normalized == idx.normalized
-
-    def test_json_rejects_wrong_data_length(self):
-        doc = crossmodal.index_to_json(build_index(np.eye(2), ids=[0, 1], normalized=False))
-        doc["matrix"]["data"].pop()
-        with pytest.raises(ValueError, match="promises 2x2 but carries 3"):
-            crossmodal.index_from_json(doc)
 
 
 class TestRetrieve:

@@ -64,12 +64,6 @@ class TestBlockGaussianSampling:
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.v, b.v)
 
-    def test_meta(self):
-        g = gaussian.BlockGaussian([[1.0]], [[0.0]], [[1.0]])
-        ds = sample_block_gaussian(g, 3, SeededRng(2))
-        assert ds.meta["generator"] == "block_gaussian"
-        assert ds.meta["n"] == 3
-
 
 class TestGpModality:
     def test_grid_is_uniform_interior(self):
@@ -302,13 +296,6 @@ class TestTrajectories:
         assert traj.shape == (5, 2)
         assert np.all(traj >= 0.0) and np.all(traj < 1.0)
 
-    def test_dataset_meta_round_trips_config(self):
-        cfg = draw_flow_config(1, SeededRng(19), dt=1e-2, t_final=0.1, record_stride=5)
-        ds = lagrangian_dataset(cfg, 2, SeededRng(20))
-        assert ds.meta["m"] == 1
-        assert tuple(ds.meta["omega"]) == cfg.omega
-        assert ds.meta["record_stride"] == 5
-
 
 def lagrangian_pair_from(psi, cfg):
     """Integrate explicit coefficients (bypassing the random draw)."""
@@ -384,22 +371,3 @@ class TestIdx:
         lp.write_bytes(idx_labels_bytes([0, 1, 2]))
         with pytest.raises(CountMismatch):
             mnist_load(ip, lp)
-
-
-class TestSaveLoad:
-    def test_round_trip(self, tmp_path):
-        g = gaussian.BlockGaussian([[1.5]], [[1.0]], [[1.5]])
-        ds = sample_block_gaussian(g, 20, SeededRng(21))
-        out = tmp_path / "ds"
-        datagen.save_dataset(ds, out)
-        back = datagen.load_dataset(out)
-        np.testing.assert_array_equal(back.u, ds.u)
-        np.testing.assert_array_equal(back.v, ds.v)
-        assert back.meta == ds.meta
-
-    def test_single_column_shape_preserved(self, tmp_path):
-        ds = PairedDataset(u=np.arange(4.0)[:, None], v=np.arange(4.0)[:, None])
-        out = tmp_path / "ds1"
-        datagen.save_dataset(ds, out)
-        back = datagen.load_dataset(out)
-        assert back.u.shape == (4, 1)

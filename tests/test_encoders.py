@@ -434,36 +434,3 @@ class TestSimilarity:
         ones = np.ones((2, 2))
         with pytest.raises(ValueError):
             similarity_vjp(ones, ones, "inner_product", 1.0, np.ones((3, 2)))
-
-
-class TestSerialization:
-    def test_spec_round_trip(self):
-        for spec in (
-            linear_spec(3, 2),
-            affine_spec(4, 4, normalized=True),
-            mlp_spec([5, 6, 2], "tanh", normalized=True),
-            one_hot_spec(9),
-            frozen_table_spec(12, 3),
-        ):
-            assert encoders.spec_from_json(encoders.spec_to_json(spec)) == spec
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        spec = mlp_spec([3, 4, 2], "relu", normalized=True)
-        params = init_params(spec, SeededRng(60))
-        path = tmp_path / "enc.json"
-        encoders.save_checkpoint(path, spec, params, seed=123, train_meta={"epochs": 7})
-        spec2, params2, seed, meta = encoders.load_checkpoint(path)
-        assert spec2 == spec
-        assert seed == 123
-        assert meta == {"epochs": 7}
-        np.testing.assert_array_equal(params2.theta, params.theta)
-
-    def test_checkpoint_one_hot(self, tmp_path):
-        spec = one_hot_spec(5)
-        params = init_params(spec, SeededRng(61))
-        path = tmp_path / "onehot.json"
-        encoders.save_checkpoint(path, spec, params, seed=0)
-        spec2, params2, _, meta = encoders.load_checkpoint(path)
-        assert spec2 == spec
-        assert params2.theta.size == 0
-        assert meta == {}

@@ -350,14 +350,15 @@ class TestQuadraticMinimizer:
         # full rank budget recovers the unconstrained optimum
         assert abs(prev - best) < 1e-6
 
-    def test_solver_iteration_cap(self):
+    def test_solver_iteration_cap(self, monkeypatch):
         g = random_blocks(25, 4, 4)
-        tight = gaussian.SolverConfig(max_iters=1, grad_tol=1e-16)
+        monkeypatch.setattr(gaussian, "SOLVER_MAX_ITERS", 1)
+        monkeypatch.setattr(gaussian, "SOLVER_GRAD_TOL", 1e-16)
         with pytest.raises(SolverDidNotConverge):
-            gaussian.minimizer_quadratic_onesided(g, r=2, solver=tight)
+            gaussian.minimizer_quadratic_onesided(g, r=2)
 
     @staticmethod
-    def inline_adam_rank_r(g, r, cfg):
+    def inline_adam_rank_r(g, r):
         """The rank-r solver with its own Adam loop written out, as the
         solver ran before it shared training.adam_step; the reference for
         the bit-for-bit check below."""
@@ -385,24 +386,23 @@ class TestQuadraticMinimizer:
         m1 = np.zeros_like(theta)
         m2 = np.zeros_like(theta)
         b1, b2 = ADAM_BETAS
-        for t in range(1, cfg.max_iters + 1):
+        for t in range(1, gaussian.SOLVER_MAX_ITERS + 1):
             gflat = grad(theta.reshape(r, g.n_x)).ravel()
-            if float(np.linalg.norm(gflat)) <= cfg.grad_tol:
+            if float(np.linalg.norm(gflat)) <= gaussian.SOLVER_GRAD_TOL:
                 break
             m1 = b1 * m1 + (1 - b1) * gflat
             m2 = b2 * m2 + (1 - b2) * gflat**2
             hat1 = m1 / (1 - b1**t)
             hat2 = m2 / (1 - b2**t)
-            theta = theta - cfg.learning_rate * hat1 / (np.sqrt(hat2) + ADAM_EPS)
+            theta = theta - gaussian.SOLVER_LEARNING_RATE * hat1 / (np.sqrt(hat2) + ADAM_EPS)
         gm = theta.reshape(r, g.n_x)
         return 0.5 * (gm.T @ gm + (gm.T @ gm).T)
 
     @pytest.mark.parametrize("seed, r", [(27, 1), (28, 2)])
     def test_shared_adam_matches_inline_loop_bitwise(self, seed, r):
         g = random_blocks(seed, 4, 3)
-        cfg = gaussian.SolverConfig()
-        q = gaussian.minimizer_quadratic_onesided(g, r=r, solver=cfg)
-        np.testing.assert_array_equal(q.b, self.inline_adam_rank_r(g, r, cfg))
+        q = gaussian.minimizer_quadratic_onesided(g, r=r)
+        np.testing.assert_array_equal(q.b, self.inline_adam_rank_r(g, r))
 
     def test_rank_zero(self):
         g = random_blocks(26, 2, 2)

@@ -141,3 +141,9 @@ class TestMatrixJson:
     def test_row_major_layout(self):
         doc = linalg.matrix_to_json(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert doc["data"] == [1.0, 2.0, 3.0, 4.0]
+
+    def test_json_rejects_wrong_data_length(self):
+        doc = linalg.matrix_to_json(np.eye(2))
+        doc["data"].pop()
+        with pytest.raises(ValueError, match="promises 2x2 but carries 3"):
+            linalg.matrix_from_json(doc)

@@ -280,18 +280,6 @@ class TestCondMmd:
             an = float(np.sum(g * d))
             assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-8)
 
-    def test_batch_wrapper_consistency(self):
-        rng = SeededRng(19)
-        e_u = rng.split(0).standard_normal((5, 3))
-        e_v = rng.split(1).standard_normal((5, 3))
-        k = Kernel("gaussian", bandwidth=1.1)
-        got = losses.loss_cond_mmd(e_u, e_v, k, 1.0, 0.5, "inner_product", 0.7)
-        s = similarity_matrix(e_u, e_v, "inner_product", 0.7)
-        want = losses.cond_mmd_from_grams(
-            s, losses.kernel_gram(k, e_u), losses.kernel_gram(k, e_v), 1.0, 0.5
-        )
-        assert got == want
-
 
 def product_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
     """Paired rows z_i = (u_i, v_i) and all N^2 product pairs zt, ordered

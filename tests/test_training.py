@@ -1,10 +1,12 @@
 """Training loop mechanics: batching, Adam reference math, determinism,
-frozen specs, probes, and the history CSV contract."""
+frozen specs, probes, and the history table a run writes as CSV."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tiltlab import datagen, encoders, gaussian, losses, training
+from tiltlab import cli, datagen, encoders, gaussian, losses, training
 from tiltlab.errors import NonFiniteGradient
 from tiltlab.losses import LossKind
 from tiltlab.rng import SeededRng
@@ -313,30 +315,29 @@ class TestTrainLoop:
 
 
 class TestHistoryCsv:
+    @staticmethod
+    def written(tmp_path, hist) -> bytes:
+        """The bytes a run writes for hist: its table through the one CSV writer."""
+        plan = SimpleNamespace(output_dir=str(tmp_path), experiment="gaussian2d", echo={})
+        return (tmp_path / cli._write_csv(plan, "hist", *hist.table())).read_bytes()
+
     def test_exact_bytes(self, tmp_path):
         hist = TrainHistory(
             losses=[0.5, 0.25],
             metrics=[{"acc": 0.125}, {"acc": 0.5}],
             seconds=[1.0, 2.0],
         )
-        path = tmp_path / "hist.csv"
-        hist.to_csv(path)
         want = b"epoch,loss,acc\r\n0,0.5,0.125\r\n1,0.25,0.5\r\n"
-        assert path.read_bytes() == want
+        assert self.written(tmp_path, hist) == want
 
-    def test_wall_clock_stays_out(self, tmp_path):
+    def test_wall_clock_stays_out(self):
         a = TrainHistory(losses=[1.0], metrics=[{}], seconds=[0.1])
         b = TrainHistory(losses=[1.0], metrics=[{}], seconds=[99.9])
-        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        a.to_csv(pa)
-        b.to_csv(pb)
-        assert pa.read_bytes() == pb.read_bytes()
+        assert a.table() == b.table() == (["epoch", "loss"], [[0, 1.0]])
 
     def test_ragged_metrics_leave_blanks(self, tmp_path):
         hist = TrainHistory(losses=[1.0, 2.0], metrics=[{"a": 1.0}, {"b": 2.0}], seconds=[0, 0])
-        path = tmp_path / "ragged.csv"
-        hist.to_csv(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = self.written(tmp_path, hist).decode("utf-8").splitlines()
         assert lines[0] == "epoch,loss,a,b"
         assert lines[1] == "0,1,1,"
         assert lines[2] == "1,2,,2"

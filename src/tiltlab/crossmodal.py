@@ -160,19 +160,40 @@ def fine_tune(
 
 
 def recall_at_k(queries, truth_ids, index: EmbeddingIndex, k: int) -> float:
-    """Fraction of queries whose true paired id lands in the top k."""
+    """Fraction of queries whose true paired id lands in the top k.
+
+    Index rows are ranked as retrieve ranks them: by score, ties to the
+    smaller row index, so row r of a query's scores s ranks at
+    #(s > s_r) + #(s == s_r and row < r). A query hits when the best-placed
+    row carrying its id ranks below k; an id absent from the index never
+    hits. Ids are matched as dict keys, so they must be hashable.
+    """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     truth = list(truth_ids)
     if queries.shape[0] != len(truth):
         raise ValueError("one truth id per query required")
     if k < 1:
         raise ValueError("k must be at least 1")
-    k = min(k, index.items.shape[0])
-    hits = 0
     scores = queries @ index.items.T
-    for row, want in zip(scores, truth):
-        order = np.argsort(-row, kind="stable")[:k]
-        if any(index.ids[i] == want for i in order):
-            hits += 1
-    return hits / len(truth) if truth else 0.0
-
+    n = scores.shape[1]
+    rows_of = {}
+    for row, i in enumerate(index.ids):
+        rows_of.setdefault(i, []).append(row)
+    pairs = [(q, row) for q, i in enumerate(truth) for row in rows_of.get(i, ())]
+    if not pairs:
+        return 0.0
+    q_of, row_of = np.array(pairs).T
+    # best-placed true row per query: highest score, then smallest row
+    s_pair = scores[q_of, row_of]
+    if np.isnan(s_pair).any():
+        raise ValueError("NaN retrieval score for a true row")
+    s_true = np.full(len(truth), -np.inf)
+    np.maximum.at(s_true, q_of, s_pair)
+    best = np.full(len(truth), n)
+    top = s_pair == s_true[q_of]
+    np.minimum.at(best, q_of[top], row_of[top])
+    s_true = s_true[:, None]
+    ahead = np.count_nonzero(scores > s_true, axis=1) + np.count_nonzero(
+        (scores == s_true) & (np.arange(n) < best[:, None]), axis=1
+    )
+    return np.count_nonzero((best < n) & (ahead < k)) / len(truth)

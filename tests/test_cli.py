@@ -9,6 +9,7 @@ supposed to pass through unchanged.
 
 import copy
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -512,6 +513,71 @@ class TestGaussianGp:
         sweep = report["results"]["sweep"]
         assert [entry["n_e"] for entry in sweep] == [1, 2]
         assert sweep[0]["mse"] == pytest.approx(float(rows[0]["cond_mean_mse"]))
+
+    @staticmethod
+    def run(tmp_path, **train):
+        outdir = tmp_path / "out"
+        doc = {
+            "experiment": "gaussian-gp",
+            "seed": 3,
+            "output_dir": str(outdir),
+            "gp": {"n_modes": 20, "grid_points": 4, "n_coeffs": 3},
+            "sweep": {"sample_sizes": [400], "batch_sizes": [64], "embedding_dims": [1, 2]},
+            "train": {"epochs": 2, "batch_size": 64, "learning_rate": 0.01, "tau": 0.5, **train},
+        }
+        rc = cli.main(["run", write_config(tmp_path, doc)])
+        assert rc == 0
+        with open(outdir / "gp_sweep.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        return rows, read_report(outdir)["results"]["sweep"]
+
+    @pytest.mark.parametrize(
+        "variant, target",
+        [("clip", "minimizer_cond"), ("cond", "minimizer_cond"), ("joint", "minimizer_joint")],
+    )
+    def test_error_is_measured_against_the_minimizer_of_the_loss(
+        self, tmp_path, monkeypatch, variant, target
+    ):
+        # record every trained tilt and closed form the runner computes, then
+        # recompute each row's relative Frobenius error from them
+        tilts, closed = [], []
+        real_tilt = cli._trained_tilt_matrix
+        real_min = getattr(gaussian, target)
+
+        def tilt(*args):
+            tilts.append(real_tilt(*args))
+            return tilts[-1]
+
+        @functools.wraps(real_min)
+        def minimizer(emp, r):
+            assert r == min(len(tilts), emp.n_x, emp.n_y)  # n_e is 1, then 2
+            closed.append(real_min(emp, r=r))
+            return closed[-1]
+
+        monkeypatch.setattr(cli, "_trained_tilt_matrix", tilt)
+        monkeypatch.setattr(gaussian, target, minimizer)
+        rows, sweep = self.run(tmp_path, loss={"variant": variant})
+        assert len(closed) == len(sweep) == 2
+        for entry, row, a_hat, a_closed in zip(sweep, rows, tilts, closed):
+            want = np.linalg.norm(a_hat / 0.5 - a_closed) / np.linalg.norm(a_closed)
+            assert entry["trained_target"] == target
+            assert entry["frob_rel_err"] == pytest.approx(want, rel=1e-12)
+            assert float(row["frob_rel_err_vs_rank_opt"]) == entry["frob_rel_err"]
+
+    @pytest.mark.parametrize(
+        "train",
+        [
+            {"tilting": "l2_distance", "loss": {"variant": "cond"}},
+            {"loss": {"variant": "cond_mmd", "kernel": {"family": "gaussian"}}},
+        ],
+    )
+    def test_no_closed_form_target_leaves_the_error_blank(self, tmp_path, train):
+        rows, sweep = self.run(tmp_path, **train)
+        for entry, row in zip(sweep, rows):
+            assert entry["trained_target"] is None
+            assert entry["frob_rel_err"] is None
+            assert row["frob_rel_err_vs_rank_opt"] == ""
+            assert float(row["cond_mean_mse"]) > 0
 
 
 class TestLagrangian:

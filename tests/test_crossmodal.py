@@ -111,7 +111,61 @@ class TestClassify:
             assert len(preds) == 1
 
 
+def recall_at_k_loop(queries, truth_ids, index, k):
+    """Recall by a stable argsort of each query's scores."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    truth = list(truth_ids)
+    k = min(k, index.items.shape[0])
+    hits = 0
+    scores = queries @ index.items.T
+    for row, want in zip(scores, truth):
+        order = np.argsort(-row, kind="stable")[:k]
+        if any(index.ids[i] == want for i in order):
+            hits += 1
+    return hits / len(truth) if truth else 0.0
+
+
 class TestRecall:
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_argsort_loop(self, case):
+        # entries on a 0.5 grid in at most 3 dims make many scores tie
+        # exactly; ids repeat, some truth ids are absent, and every fourth
+        # case uses string ids
+        rng = SeededRng(50).split(case)
+        n = int(rng.split(0).integers(1, 30))
+        n_q = int(rng.split(1).integers(1, 30))
+        d = int(rng.split(2).integers(1, 4))
+        items = np.round(2.0 * rng.split(3).standard_normal((n, d))) / 2.0
+        queries = np.round(2.0 * rng.split(4).standard_normal((n_q, d))) / 2.0
+        ids = rng.split(5).integers(0, n // 2 + 1, n).tolist()
+        truth = rng.split(6).integers(0, n // 2 + 3, n_q).tolist()
+        if case % 4 == 0:
+            ids, truth = [f"id{i}" for i in ids], [f"id{i}" for i in truth]
+        idx = build_index(items, ids, normalized=False)
+        for k in (1, 5, n, n + 10):
+            assert recall_at_k(queries, truth, idx, k) == recall_at_k_loop(queries, truth, idx, k)
+
+    def test_ties_resolve_to_the_smaller_row(self):
+        items = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        idx = build_index(items, ids=["a", "b", "c"], normalized=False)
+        q = [[1.0, 0.0]] * 2
+        assert recall_at_k(q, ["a", "b"], idx, 1) == 0.5
+        assert recall_at_k(q, ["a", "b"], idx, 2) == 1.0
+        # a repeated id counts from its best-placed row
+        dup = build_index([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], ids=[7, 8, 7], normalized=False)
+        assert recall_at_k([[1.0, 0.0]], [7], dup, 1) == 0.0
+        assert recall_at_k([[1.0, 0.0]], [7], dup, 2) == 1.0
+
+    def test_absent_truth_never_hits(self):
+        idx = build_index(np.eye(3), ids=[0, 1, 2])
+        assert recall_at_k(np.eye(3), [5, 6, 7], idx, 3) == 0.0
+        assert recall_at_k(np.eye(3), [0, 6, "2"], idx, 3) == pytest.approx(1 / 3)
+
+    def test_nan_true_score_rejected(self):
+        idx = build_index(np.eye(2), ids=[0, 1], normalized=False)
+        with pytest.raises(ValueError, match="NaN"):
+            recall_at_k([[np.nan, 0.0]], [0], idx, 1)
+
     def test_self_retrieval_is_perfect(self):
         items = SeededRng(5).standard_normal((30, 6))
         idx = build_index(items, ids=list(range(30)))

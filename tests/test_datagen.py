@@ -217,7 +217,60 @@ def velocity_fd_oracle(coeffs, cfg, t, x, h=1e-6):
     return np.array([-d2, d1])
 
 
+def velocity_oracle(psi, cfg, t, x):
+    """The direct mode sum: one complex exp per (particle, mode) entry of
+    the phase omega_k t + 2 pi k.x, for psi (B x K) and x (B x 2)."""
+    k = mode_set(cfg.m).astype(np.float64)
+    k1 = k[:, 0]
+    k2 = k[:, 1]
+    phase = np.asarray(cfg.omega) * t + TWO_PI * (x[:, :1] * k1 + x[:, 1:] * k2)
+    im = (psi * np.exp(1j * phase)).imag
+    return np.stack([TWO_PI * np.sum(k2 * im, axis=1), -TWO_PI * np.sum(k1 * im, axis=1)], axis=1)
+
+
+def integrate_oracle(psi, cfg):
+    """RK4 with a modulo-1 wrap per step over velocity_oracle; recorded
+    positions (B x n_records x 2)."""
+    x = np.tile(np.asarray(cfg.x0), (psi.shape[0], 1))
+    dt = cfg.dt
+    records = []
+    for step in range(1, cfg.steps + 1):
+        t0 = (step - 1) * dt
+        ka = velocity_oracle(psi, cfg, t0, x)
+        kb = velocity_oracle(psi, cfg, t0 + 0.5 * dt, x + 0.5 * dt * ka)
+        kc = velocity_oracle(psi, cfg, t0 + 0.5 * dt, x + 0.5 * dt * kb)
+        kd = velocity_oracle(psi, cfg, t0 + dt, x + dt * kc)
+        x = (x + (dt / 6.0) * (ka + 2.0 * kb + 2.0 * kc + kd)) % 1.0
+        if step % cfg.record_stride == 0:
+            records.append(x)
+    return np.stack(records, axis=1)
+
+
 class TestVelocity:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 7, 300])
+    def test_factorised_sum_matches_direct_mode_sum(self, m, b):
+        # general complex coefficients (not conjugate-symmetric), so every
+        # mode's term counts on its own
+        rng = SeededRng(40 + 10 * m).split(b)
+        cfg = draw_flow_config(m, rng.split(0))
+        z = rng.split(1).standard_normal((b, cfg.k_count, 2))
+        psi = z[..., 0] + 1j * z[..., 1]
+        x = rng.split(2).uniform(0.0, 1.0, (b, 2))
+        t = float(rng.split(3).uniform(0.0, 1.0))
+        want = velocity_oracle(psi, cfg, t, x)
+        got = datagen._velocity(*datagen._mode_grid(psi, cfg), t, x)
+        assert got.shape == (b, 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_powers_of_the_particle_phase(self, m):
+        x = SeededRng(45).uniform(0.0, 1.0, 6)
+        got = datagen._powers(np.exp(1j * TWO_PI * x), m)
+        assert len(got) == 2 * m + 1
+        for j, p in zip(range(-m, m + 1), got):
+            np.testing.assert_allclose(p, np.exp(1j * TWO_PI * j * x), rtol=0, atol=1e-14)
+
     def test_matches_fd_streamfunction(self):
         cfg = draw_flow_config(1, SeededRng(9))
         psi = draw_flow_coeffs(cfg, SeededRng(10))
@@ -282,13 +335,29 @@ class TestTrajectories:
         np.testing.assert_allclose(traj[:, 1], want, atol=1e-9)
 
     def test_batch_matches_single_bitwise(self):
-        cfg = draw_flow_config(1, SeededRng(15), dt=1e-2, t_final=0.1, record_stride=2)
-        root = SeededRng(16)
-        ds = lagrangian_dataset(cfg, 4, root)
-        for i in range(4):
-            u_i, traj_i = lagrangian_pair(cfg, root.split(i))
-            np.testing.assert_array_equal(ds.u[i], u_i)
-            np.testing.assert_array_equal(ds.v[i], traj_i.reshape(-1))
+        # m = 2 also takes the powers z^2 by repeated multiplication
+        for m in (1, 2):
+            cfg = draw_flow_config(m, SeededRng(15), dt=1e-2, t_final=0.1, record_stride=2)
+            root = SeededRng(16)
+            ds = lagrangian_dataset(cfg, 4, root)
+            for i in range(4):
+                u_i, traj_i = lagrangian_pair(cfg, root.split(i))
+                np.testing.assert_array_equal(ds.u[i], u_i)
+                np.testing.assert_array_equal(ds.v[i], traj_i.reshape(-1))
+
+    def test_integrator_matches_direct_mode_sum_oracle(self):
+        # 500 RK4 steps of 20 m = 1 flows (the benchmark's shape): rounding
+        # differences in the velocity must not grow into a visible drift of
+        # the recorded positions. (At m = 2 some of these flows amplify the
+        # same 1e-15 differences to about 1e-3 over this span.)
+        cfg = draw_flow_config(1, SeededRng(19), dt=1e-3, t_final=0.5, record_stride=25)
+        root = SeededRng(20)
+        psi = np.stack([draw_flow_coeffs(cfg, root.split(i)) for i in range(20)])
+        got = datagen._integrate(psi, cfg)
+        want = integrate_oracle(psi, cfg)
+        assert got.shape == want.shape == (20, 20, 2)
+        wrapped = ((got - want + 0.5) % 1.0) - 0.5
+        assert np.max(np.abs(wrapped)) < 1e-6
 
     def test_trajectory_stays_on_torus(self):
         cfg = draw_flow_config(1, SeededRng(17), dt=1e-2, t_final=0.2, record_stride=4)

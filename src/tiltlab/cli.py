@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -273,19 +274,17 @@ def _matrix_rows(name: str, m: np.ndarray):
 # experiments
 
 
-def _linear_pair_inits(n_x: int, n_y: int, n_e: int, seed: int, tag: int):
-    root = SeededRng(seed)
-    spec_u = encoders.linear_spec(n_x, n_e)
-    spec_v = encoders.linear_spec(n_y, n_e)
-    init_u = encoders.init_params(spec_u, root.split(10, tag, 0))
-    init_v = encoders.init_params(spec_v, root.split(10, tag, 1))
-    return spec_u, spec_v, init_u, init_v
-
-
-def _trained_tilt_matrix(spec_u, params_u, spec_v, params_v) -> np.ndarray:
-    g = params_u.unflatten()["w0"]
-    h = params_v.unflatten()["w0"]
-    return g.T @ h
+def _fit_linear_tilt(plan: RunPlan, data, n_e: int, tag: int, batch_size: int):
+    """Train linear encoders u -> G u, v -> H v on data from the init streams
+    (10, tag, side) of the seed; returns the tilting they define and the
+    training history."""
+    root = SeededRng(plan.seed)
+    specs = [encoders.linear_spec(x.shape[1], n_e) for x in (data.u, data.v)]
+    inits = [encoders.init_params(spec, root.split(10, tag, side)) for side, spec in enumerate(specs)]
+    cfg = dataclasses.replace(plan.train, batch_size=batch_size)
+    params_u, params_v, history = training.train(cfg, data, *specs, *inits)
+    g_mat, h_mat = (p.unflatten()["w0"] for p in (params_u, params_v))
+    return gaussian.linear_encoder_tilting(g_mat, h_mat, cfg.tilting, cfg.tau), history
 
 
 def _run_closed_form(plan: RunPlan):
@@ -298,13 +297,16 @@ def _run_closed_form(plan: RunPlan):
     sing = np.linalg.svd(
         linalg.inv_sym_sqrt(g.c_uu) @ g.c_uv @ linalg.inv_sym_sqrt(g.c_vv), compute_uv=False
     )
+    tables = {
+        "true_gain": cond.gain,
+        "true_cov": cond.cov,
+        "a_cond": a_cond,
+        "a_quad": quad.a,
+        "b_quad": quad.b,
+        "a_joint": a_joint,
+    }
     results = {
-        "true_gain": linalg.matrix_to_json(cond.gain),
-        "true_cov": linalg.matrix_to_json(cond.cov),
-        "a_cond": linalg.matrix_to_json(a_cond),
-        "a_quad": linalg.matrix_to_json(quad.a),
-        "b_quad": linalg.matrix_to_json(quad.b),
-        "a_joint": linalg.matrix_to_json(a_joint),
+        **{name: linalg.matrix_to_json(m) for name, m in tables.items()},
         "quad_model_gain": linalg.matrix_to_json(quad_cond.gain),
         "quad_model_cov": linalg.matrix_to_json(quad_cond.cov),
         "whitened_singular_values": sing.tolist(),
@@ -314,9 +316,7 @@ def _run_closed_form(plan: RunPlan):
         "marginal_model_cond": linalg.matrix_to_json(gaussian.model_marginal_u(a_cond, g)),
         "marginal_model_joint": linalg.matrix_to_json(gaussian.model_marginal_u(a_joint, g)),
     }
-    rows = []
-    for name in ("true_gain", "true_cov", "a_cond", "a_quad", "b_quad", "a_joint"):
-        rows.extend(_matrix_rows(name, linalg.matrix_from_json(results[name])))
+    rows = [row for name, m in tables.items() for row in _matrix_rows(name, m)]
     artifacts = [_write_csv(plan, "closed_form", ["quantity", "row", "col", "value"], rows)]
     _write_report(plan, results, artifacts)
 
@@ -330,16 +330,15 @@ def _gaussian_density(cov: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _run_gaussian2d(plan: RunPlan):
     g = plan.blocks
-    a_cond = gaussian.minimizer_cond(g)
-    a_joint = gaussian.minimizer_joint(g)
     quad = gaussian.minimizer_quadratic_onesided(g)
-    variants = {
-        "cond": gaussian.model_conditional(gaussian.CosineLinear(a_cond), "u_given_v", g),
-        "joint": gaussian.model_conditional(gaussian.CosineLinear(a_joint), "u_given_v", g),
-        "quad": gaussian.model_conditional(quad, "u_given_v", g),
+    closed = {
+        "cond": gaussian.CosineLinear(gaussian.minimizer_cond(g)),
+        "joint": gaussian.CosineLinear(gaussian.minimizer_joint(g)),
+        "quad": quad,
     }
     rows = []
-    for name, cm in variants.items():
+    for name, tilt in closed.items():
+        cm = gaussian.model_conditional(tilt, "u_given_v", g)
         rows.extend(_matrix_rows(f"{name}_gain", cm.gain))
         rows.extend(_matrix_rows(f"{name}_cov", cm.cov))
     artifacts = [_write_csv(plan, "conditionals", ["quantity", "row", "col", "value"], rows)]
@@ -348,55 +347,30 @@ def _run_gaussian2d(plan: RunPlan):
     grid = np.linspace(-4.0, 4.0, 81)
     uu, vv = np.meshgrid(grid, grid, indexing="ij")
     pts = np.column_stack([uu.ravel(), vv.ravel()])
-    covs = {
-        "true": g.joint(),
-        "cond": gaussian.model_joint(gaussian.CosineLinear(a_cond), g),
-        "joint": gaussian.model_joint(gaussian.CosineLinear(a_joint), g),
-        "quad": gaussian.model_joint(quad, g),
-    }
-    dens = {name: _gaussian_density(cov, pts) for name, cov in covs.items()}
-    density_rows = [
-        (
-            float(pts[i, 0]),
-            float(pts[i, 1]),
-            float(dens["true"][i]),
-            float(dens["cond"][i]),
-            float(dens["joint"][i]),
-            float(dens["quad"][i]),
-        )
-        for i in range(pts.shape[0])
-    ]
+    covs = [g.joint()] + [gaussian.model_joint(tilt, g) for tilt in closed.values()]
+    densities = [_gaussian_density(cov, pts) for cov in covs]
+    header = ["u", "v", "density_true", *[f"density_{name}_model" for name in closed]]
     artifacts.append(
-        _write_csv(
-            plan,
-            "densities",
-            ["u", "v", "density_true", "density_cond_model", "density_joint_model", "density_quad_model"],
-            density_rows,
-        )
+        _write_csv(plan, "densities", header, np.column_stack([pts, *densities]).tolist())
     )
 
-    # one training run against the closed form
+    # one training run against the closed form of the configured loss
     n = plan.sweep["sample_sizes"][0]
     data = datagen.sample_block_gaussian(g, n, SeededRng(plan.seed).split(1))
-    spec_u, spec_v, init_u, init_v = _linear_pair_inits(1, 1, 1, plan.seed, 0)
-    params_u, params_v, history = training.train(plan.train, data, spec_u, spec_v, init_u, init_v)
-    a_hat = _trained_tilt_matrix(spec_u, params_u, spec_v, params_v) / plan.train.tau
+    tilt, history = _fit_linear_tilt(plan, data, 1, 0, plan.train.batch_size)
     artifacts.append(_write_csv(plan, "training", *history.table()))
+    a_trained = float(tilt.a[0, 0])
+    oracle = gaussian.trained_tilt_oracle(plan.train.loss, plan.train.tilting)
     results = {
-        "a_cond": float(a_cond[0, 0]),
-        "a_joint": float(a_joint[0, 0]),
+        "a_cond": float(closed["cond"].a[0, 0]),
+        "a_joint": float(closed["joint"].a[0, 0]),
         "a_quad": float(quad.a[0, 0]),
         "b_quad": float(quad.b[0, 0]),
-        "a_trained": float(a_hat[0, 0]),
+        "a_trained": a_trained,
         "final_epoch_loss": history.losses[-1],
+        "trained_target": None if oracle is None else oracle.__name__,
+        "trained_abs_err": None if oracle is None else abs(a_trained - float(oracle(g)[0, 0])),
     }
-    # measured against the closed-form minimizer of the configured loss (clip
-    # and cond share a_cond); l2_distance and the MMD losses have none here
-    target = None
-    if plan.train.tilting == encoders.TILTING_INNER:
-        target = {"joint": "a_joint", "clip": "a_cond", "cond": "a_cond"}.get(plan.train.loss.variant)
-    results["trained_target"] = target
-    results["trained_abs_err"] = None if target is None else abs(results["a_trained"] - results[target])
     _write_report(plan, results, artifacts)
 
 
@@ -405,51 +379,27 @@ def _run_gaussian_gp(plan: RunPlan):
     true_gain = gaussian.conditional_u_given_v(blocks).gain
     root = SeededRng(plan.seed)
     v_eval = root.split(4).standard_normal((1000, plan.gp.n_coeffs))
-    # each trained tilt is measured against the rank-constrained minimizer of
-    # the configured loss (clip and cond share minimizer_cond); l2_distance
-    # and the MMD losses have none here
-    oracle = None
-    if plan.train.tilting == encoders.TILTING_INNER:
-        oracle = {
-            "clip": gaussian.minimizer_cond,
-            "cond": gaussian.minimizer_cond,
-            "joint": gaussian.minimizer_joint,
-        }.get(plan.train.loss.variant)
-    rows = []
-    results = []
-    idx = 0
-    for n in plan.sweep["sample_sizes"]:
-        for batch in plan.sweep["batch_sizes"]:
-            for n_e in plan.sweep["embedding_dims"]:
-                data = datagen.gp_modality_pair(plan.gp, n, root.split(1, idx))
-                cfg = dataclasses.replace(plan.train, batch_size=batch)
-                spec_u, spec_v, init_u, init_v = _linear_pair_inits(
-                    plan.gp.grid_points, plan.gp.n_coeffs, n_e, plan.seed, idx
-                )
-                params_u, params_v, _ = training.train(cfg, data, spec_u, spec_v, init_u, init_v)
-                a_hat = _trained_tilt_matrix(spec_u, params_u, spec_v, params_v) / plan.train.tau
-                model_gain = blocks.c_uu @ a_hat
-                err = (model_gain - true_gain) @ v_eval.T
-                mse = float(np.mean(np.sum(err**2, axis=0)))
-                frob = None
-                if oracle is not None:
-                    emp = gaussian.empirical_block_gaussian(data)
-                    a_closed = oracle(emp, r=min(n_e, emp.n_x, emp.n_y))
-                    denom = float(np.linalg.norm(a_closed))
-                    diff = float(np.linalg.norm(a_hat - a_closed))
-                    frob = diff / denom if denom else float("nan")
-                rows.append((n, batch, n_e, mse, frob))
-                results.append(
-                    {
-                        "n": n,
-                        "batch": batch,
-                        "n_e": n_e,
-                        "mse": mse,
-                        "frob_rel_err": frob,
-                        "trained_target": None if oracle is None else oracle.__name__,
-                    }
-                )
-                idx += 1
+    oracle = gaussian.trained_tilt_oracle(plan.train.loss, plan.train.tilting)
+    target = None if oracle is None else oracle.__name__
+    sweep = plan.sweep
+    grid = itertools.product(sweep["sample_sizes"], sweep["batch_sizes"], sweep["embedding_dims"])
+    rows, results = [], []
+    for idx, (n, batch, n_e) in enumerate(grid):
+        data = datagen.gp_modality_pair(plan.gp, n, root.split(1, idx))
+        tilt, _ = _fit_linear_tilt(plan, data, n_e, idx, batch)
+        model_gain = gaussian.model_conditional(tilt, "u_given_v", blocks).gain
+        err = (model_gain - true_gain) @ v_eval.T
+        mse = float(np.mean(np.sum(err**2, axis=0)))
+        frob = None
+        if oracle is not None:
+            emp = gaussian.empirical_block_gaussian(data)
+            a_closed = oracle(emp, r=min(n_e, emp.n_x, emp.n_y))
+            denom = float(np.linalg.norm(a_closed))
+            frob = float(np.linalg.norm(tilt.a - a_closed)) / denom if denom else float("nan")
+        rows.append((n, batch, n_e, mse, frob))
+        results.append(
+            {"n": n, "batch": batch, "n_e": n_e, "mse": mse, "frob_rel_err": frob, "trained_target": target}
+        )
     artifacts = [
         _write_csv(
             plan,

@@ -309,11 +309,17 @@ def similarity_matrix(e_u, e_v, tilting: str, tau: float) -> np.ndarray:
         sq_u = np.sum(e_u**2, axis=1)[:, None]
         sq_v = np.sum(e_v**2, axis=1)[None, :]
         s = -(sq_u + sq_v - 2.0 * e_u @ e_v.T) / (2.0 * tau)
+    _score_range(s)
+    return s
+
+
+def _score_range(scores: np.ndarray) -> tuple[float, float]:
     # nan propagates through min/max, so two scalar reductions cover the
     # full finiteness check without materializing a boolean mask
-    if not (np.isfinite(np.min(s)) and np.isfinite(np.max(s))):
+    low, high = float(np.min(scores)), float(np.max(scores))
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("non-finite similarity scores")
-    return s
+    return low, high
 
 
 def similarity_vjp(e_u, e_v, tilting: str, tau: float, ds) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,10 @@ tilting exp(-u^T B u / 2 + u^T A v - v^T C v / 2) produces
 N((B + C_uu^{-1})^{-1} A v, (B + C_uu^{-1})^{-1}), and symmetrically for v
 given u. The whitened cross-covariance C_uu^{-1/2} C_uv C_vv^{-1/2} and its
 SVD govern every minimizer below.
+
+Trained linear encoders meet these formulas through linear_encoder_tilting,
+the tilting their weights define, and trained_tilt_oracle, the minimizer
+that scores a (loss, tilting) pair.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoders import TILTING_INNER, TILTING_L2
 from .errors import DivergentNormalizer, NotPositiveDefinite, SolverDidNotConverge
 from .linalg import (
     as_matrix,
@@ -206,6 +211,18 @@ def minimizer_joint(g: BlockGaussian, r: int | None = None) -> np.ndarray:
     if r is not None:
         d = np.where(np.arange(d.size) < r, d, 0.0)
     return ru @ (u * d) @ vt @ rv
+
+
+def trained_tilt_oracle(loss, tilting: str):
+    """The minimizer, called as oracle(blocks, r=rank), that scores encoders
+    trained with loss (a LossKind) under tilting; None if there is none here.
+    Built per call, so the table holds the module's current functions."""
+    oracles = {
+        ("clip", TILTING_INNER): minimizer_cond,
+        ("cond", TILTING_INNER): minimizer_cond,
+        ("joint", TILTING_INNER): minimizer_joint,
+    }
+    return oracles.get((loss.variant, tilting))
 
 
 # Adam settings for the rank-constrained one-sided solver
@@ -425,8 +442,21 @@ def exp_quadratic_expectation(m, lam, b, c) -> float:
     return float(np.exp(log_norm + quad - mean_term))
 
 
+def linear_encoder_tilting(g_mat, h_mat, tilting: str, tau: float):
+    """The tilting of linear encoders u -> G u, v -> H v at temperature tau,
+    the inverse of recover_encoders: (Gu).(Hv)/tau = u^T a v, a = G^T H/tau;
+    -|Gu - Hv|^2/2tau = u^T a v - u^T b u/2 - v^T c v/2, b = G^T G/tau, c = H^T H/tau."""
+    a = g_mat.T @ h_mat / tau
+    if tilting == TILTING_INNER:
+        return CosineLinear(a)
+    if tilting == TILTING_L2:
+        return QuadraticTiltingParams(a=a, b=g_mat.T @ g_mat / tau, c=h_mat.T @ h_mat / tau)
+    raise ValueError(f"unknown tilting {tilting!r}")
+
+
 def recover_encoders(q: QuadraticTiltingParams) -> tuple[np.ndarray, np.ndarray]:
-    """Recover encoder matrices (G, H) from quadratic tilting parameters.
+    """Recover encoder matrices (G, H) from quadratic tilting parameters;
+    the inverse of linear_encoder_tilting under l2_distance at tau = 1.
 
     G is the PD square root of b; H solves G^T H = a. Requires b strictly
     PD and n_x <= n_y (square G of full dimension).

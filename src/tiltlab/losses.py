@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import TILTING_INNER, TILTINGS
+from .encoders import TILTING_INNER, TILTINGS, _score_range
 
 KERNEL_FAMILIES = ("gaussian", "polynomial")
 SOFTMAX_VARIANTS = ("clip", "cond", "joint")
@@ -87,21 +87,20 @@ def kernel_gram(k: Kernel, x, y=None) -> np.ndarray:
         raise ValueError("kernel inputs must share a dimension")
     if k.family == "polynomial":
         return (x @ y.T + k.offset) ** k.degree
+    return np.exp(-_sq_dists(x, y) / (2.0 * k.bandwidth**2))
+
+
+def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x_i - y_j|^2 as |x_i|^2 + |y_j|^2 - 2 x_i.y_j, clipped at 0."""
     sq = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :] - 2.0 * x @ y.T
-    np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-sq / (2.0 * k.bandwidth**2))
+    return np.clip(sq, 0.0, None, out=sq)
 
 
 def median_heuristic_bandwidth(x, y=None) -> float:
     """Median pairwise distance of the pooled sample; 1.0 if degenerate."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     pooled = x if y is None else np.vstack([x, np.atleast_2d(np.asarray(y, dtype=np.float64))])
-    sq = (
-        np.sum(pooled**2, axis=1)[:, None]
-        + np.sum(pooled**2, axis=1)[None, :]
-        - 2.0 * pooled @ pooled.T
-    )
-    np.clip(sq, 0.0, None, out=sq)
+    sq = _sq_dists(pooled, pooled)
     d = np.sqrt(sq[np.triu_indices_from(sq, k=1)])
     if d.size == 0:
         return 1.0
@@ -514,11 +513,3 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
         cot_u = cot_u - q_u[:, k:] * e_u
         cot_v = cot_v - q_v[:, k:] * e_v
     return value, cot_u / tau, cot_v / tau, shifted
-
-
-def _score_range(scores: np.ndarray) -> tuple[float, float]:
-    # nan propagates through min and max, so two reductions check finiteness
-    low, high = float(np.min(scores)), float(np.max(scores))
-    if not (np.isfinite(low) and np.isfinite(high)):
-        raise ValueError("non-finite similarity scores")
-    return low, high

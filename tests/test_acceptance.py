@@ -421,52 +421,33 @@ def test_criterion_10_classification_is_cross_entropy():
     assert _report(10, ok, f"{detail}; {dt:.1f} s")
 
 
-def test_criterion_11_trajectory_retrieval_beats_chance():
+def test_criterion_11_trajectory_retrieval_beats_chance(tmp_path):
     # 9-mode incompressible flow, 2000 training pairs: a trajectory encoder
     # trained against frozen coefficient embeddings must retrieve held-out
     # partners well above the 1/500 chance rate, and improve as it trains
     t0 = time.perf_counter()
-    seed = 20
-    root = SeededRng(seed)
-    flow = datagen.draw_flow_config(1, root.split(2), dt=1e-3, t_final=1.0, record_stride=10)
-    data = datagen.lagrangian_dataset(flow, 2500, root.split(3))
-    n_train, n_total = 2000, 2500
-    feats = datagen.torus_trajectory_features(data.v)
-    coeff_dim = data.u.shape[1]
-    spec_u = encoders.frozen_table_spec(n_total, coeff_dim, normalized=True)
-    params_u = encoders.params_from_table(spec_u, data.u)
-    spec_v = encoders.mlp_spec(
-        [feats.shape[1], 256, 256, coeff_dim], activation="relu", normalized=True
-    )
-    init_v = init_params(spec_v, root.split(10, 0))
-    cfg = TrainConfig(
-        seed=seed,
-        epochs=20,
-        batch_size=64,
-        learning_rate=1e-3,
-        tau=0.07,
-        loss=LossKind("cond", 1.0, 1.0),
-        tilting="inner_product",
-    )
-    view = PairedDataset(
-        u=np.arange(n_train, dtype=np.float64)[:, None], v=feats[:n_train]
-    )
-    test_ids = np.arange(n_train, n_total)
-
-    def probe(epoch, pu, pv):
-        e_u = encode(spec_u, pu, test_ids[:, None].astype(np.float64))
-        e_v = encode(spec_v, pv, feats[test_ids])
-        idx_u = crossmodal.build_index(e_u, test_ids.tolist(), normalized=True)
-        idx_v = crossmodal.build_index(e_v, test_ids.tolist(), normalized=True)
-        return {
-            "r1_traj_to_coeff": crossmodal.recall_at_k(e_v, test_ids.tolist(), idx_u, 1),
-            "r5_traj_to_coeff": crossmodal.recall_at_k(e_v, test_ids.tolist(), idx_u, 5),
-            "r1_coeff_to_traj": crossmodal.recall_at_k(e_u, test_ids.tolist(), idx_v, 1),
-            "r5_coeff_to_traj": crossmodal.recall_at_k(e_u, test_ids.tolist(), idx_v, 5),
-        }
-
-    _, _, hist = train(cfg, view, spec_u, spec_v, params_u, init_v, probe=probe)
-    first, final = hist.metrics[0], hist.metrics[-1]
+    doc = {
+        "experiment": "lagrangian",
+        "seed": 20,
+        "output_dir": str(tmp_path / "out"),
+        "sweep": {"sample_sizes": [2000]},
+        "heldout": 500,
+        "hidden": 256,
+        "flow": {"m": 1, "dt": 1e-3, "t_final": 1.0, "record_stride": 10},
+        "train": {
+            "epochs": 20,
+            "batch_size": 64,
+            "learning_rate": 1e-3,
+            "tau": 0.07,
+            "loss": {"variant": "cond"},
+        },
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["run", str(cfg_path)]) == 0
+    with open(tmp_path / "out" / "report.json", encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    first, final = results["first"], results["final"]
     dt = time.perf_counter() - t0
     ok = (
         final["r1_traj_to_coeff"] >= 0.02

@@ -23,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltlab import cli, gaussian
+from tiltlab import cli, datagen, gaussian
+from tiltlab.rng import SeededRng
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -433,7 +434,7 @@ class TestGaussian2d:
 
     def test_joint_loss_is_measured_against_a_joint(self, tmp_path):
         res = read_report(self.run(tmp_path, epochs=10, loss={"variant": "joint"}))["results"]
-        assert res["trained_target"] == "a_joint"
+        assert res["trained_target"] == "minimizer_joint"
         assert res["trained_abs_err"] == abs(res["a_trained"] - res["a_joint"])
         # closer to the joint optimum 1/3 than to the conditional one 4/9
         assert res["trained_abs_err"] < abs(res["a_trained"] - res["a_cond"])
@@ -541,12 +542,12 @@ class TestGaussianGp:
         # record every trained tilt and closed form the runner computes, then
         # recompute each row's relative Frobenius error from them
         tilts, closed = [], []
-        real_tilt = cli._trained_tilt_matrix
+        real_tilt = gaussian.linear_encoder_tilting
         real_min = getattr(gaussian, target)
 
-        def tilt(*args):
-            tilts.append(real_tilt(*args))
-            return tilts[-1]
+        def tilt(g_mat, h_mat, *args):
+            tilts.append(g_mat.T @ h_mat)
+            return real_tilt(g_mat, h_mat, *args)
 
         @functools.wraps(real_min)
         def minimizer(emp, r):
@@ -554,7 +555,7 @@ class TestGaussianGp:
             closed.append(real_min(emp, r=r))
             return closed[-1]
 
-        monkeypatch.setattr(cli, "_trained_tilt_matrix", tilt)
+        monkeypatch.setattr(gaussian, "linear_encoder_tilting", tilt)
         monkeypatch.setattr(gaussian, target, minimizer)
         rows, sweep = self.run(tmp_path, loss={"variant": variant})
         assert len(closed) == len(sweep) == 2
@@ -563,6 +564,30 @@ class TestGaussianGp:
             assert entry["trained_target"] == target
             assert entry["frob_rel_err"] == pytest.approx(want, rel=1e-12)
             assert float(row["frob_rel_err_vs_rank_opt"]) == entry["frob_rel_err"]
+
+    def test_l2_mse_uses_the_quadratic_tilt_of_the_trained_encoders(self, tmp_path, monkeypatch):
+        # under l2_distance the encoders define the quadratic tilt
+        # (G^T H, G^T G, H^T H) / tau, whose model gain is
+        # (G^T G / tau + C_uu^{-1})^{-1} G^T H / tau
+        weights = []
+        real_tilt = gaussian.linear_encoder_tilting
+
+        def tilt(g_mat, h_mat, *args):
+            weights.append((g_mat, h_mat))
+            return real_tilt(g_mat, h_mat, *args)
+
+        monkeypatch.setattr(gaussian, "linear_encoder_tilting", tilt)
+        rows, sweep = self.run(tmp_path, tilting="l2_distance", loss={"variant": "cond"})
+        blocks = datagen.gp_analytic_blocks(datagen.GpConfig(n_modes=20, grid_points=4, n_coeffs=3))
+        true_gain = np.linalg.solve(blocks.c_vv, blocks.c_uv.T).T
+        v_eval = SeededRng(3).split(4).standard_normal((1000, 3))  # the runner's evaluation draws
+        assert len(weights) == len(sweep) == 2
+        for entry, row, (g_mat, h_mat) in zip(sweep, rows, weights):
+            prec = g_mat.T @ g_mat / 0.5 + np.linalg.inv(blocks.c_uu)
+            gain = np.linalg.solve(prec, g_mat.T @ h_mat / 0.5)
+            want = np.mean(np.sum(((gain - true_gain) @ v_eval.T) ** 2, axis=0))
+            assert entry["mse"] == pytest.approx(want, rel=1e-12)
+            assert float(row["cond_mean_mse"]) == entry["mse"]
 
     @pytest.mark.parametrize(
         "train",

@@ -19,6 +19,7 @@ import pytest
 
 from tiltlab import gaussian, linalg
 from tiltlab.errors import DivergentNormalizer, NotPositiveDefinite, SolverDidNotConverge
+from tiltlab.losses import Kernel, LossKind
 from tiltlab.rng import SeededRng
 from tiltlab.training import ADAM_BETAS, ADAM_EPS
 
@@ -543,6 +544,57 @@ class TestRecoverEncoders:
         q = gaussian.QuadraticTiltingParams(a=a, b=b, c=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             gaussian.recover_encoders(q)
+
+
+class TestLinearEncoderTilting:
+    @pytest.mark.parametrize("tilting", ["inner_product", "l2_distance"])
+    def test_tilt_reproduces_the_encoder_score(self, tilting):
+        rng = SeededRng(46)
+        g_mat = rng.split(0).standard_normal((4, 2))
+        h_mat = rng.split(1).standard_normal((4, 3))
+        tau = 0.7
+        tilt = gaussian.linear_encoder_tilting(g_mat, h_mat, tilting, tau)
+        for i in range(5):
+            u = rng.split(2, i).standard_normal(2)
+            v = rng.split(3, i).standard_normal(3)
+            if tilting == "inner_product":
+                assert isinstance(tilt, gaussian.CosineLinear)
+                got, want = u @ tilt.a @ v, (g_mat @ u) @ (h_mat @ v) / tau
+            else:
+                got = u @ tilt.a @ v - u @ tilt.b @ u / 2 - v @ tilt.c @ v / 2
+                want = -np.sum((g_mat @ u - h_mat @ v) ** 2) / (2 * tau)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_inverts_recover_encoders(self):
+        rng = SeededRng(47)
+        base = rng.split(0).standard_normal((2, 4))
+        q = gaussian.QuadraticTiltingParams(
+            a=rng.split(1).standard_normal((2, 3)), b=base @ base.T / 4 + 0.5 * np.eye(2), c=np.zeros((3, 3))
+        )
+        tilt = gaussian.linear_encoder_tilting(*gaussian.recover_encoders(q), "l2_distance", 1.0)
+        np.testing.assert_allclose(tilt.a, q.a, atol=1e-10)
+        np.testing.assert_allclose(tilt.b, q.b, atol=1e-10)
+
+
+class TestTrainedTiltOracle:
+    @pytest.mark.parametrize(
+        "variant, inner_product",
+        [
+            ("clip", "minimizer_cond"),
+            ("cond", "minimizer_cond"),
+            ("joint", "minimizer_joint"),
+            ("cond_mmd", None),
+            ("joint_mmd", None),
+        ],
+    )
+    @pytest.mark.parametrize("tilting", ["inner_product", "l2_distance"])
+    def test_table(self, variant, inner_product, tilting):
+        kernel = Kernel("gaussian") if variant.endswith("mmd") else None
+        oracle = gaussian.trained_tilt_oracle(LossKind(variant, kernel=kernel), tilting)
+        want = inner_product if tilting == "inner_product" else None
+        assert (None if oracle is None else oracle.__name__) == want
+        if oracle is not None:
+            assert oracle is getattr(gaussian, want)
 
 
 class TestEmpiricalBlocks:

@@ -8,7 +8,6 @@ from .errors import (
     DivergentNormalizer,
     NonFiniteGradient,
     NotPositiveDefinite,
-    SolverDidNotConverge,
     TiltlabError,
     TruncatedFile,
     ZeroNormRow,

@@ -294,9 +294,7 @@ def _run_closed_form(plan: RunPlan):
     quad = gaussian.minimizer_quadratic_onesided(g)
     a_joint = gaussian.minimizer_joint(g)
     quad_cond = gaussian.model_conditional(quad, "u_given_v", g)
-    sing = np.linalg.svd(
-        linalg.inv_sym_sqrt(g.c_uu) @ g.c_uv @ linalg.inv_sym_sqrt(g.c_vv), compute_uv=False
-    )
+    sing = gaussian._whitened_svd(g, None)[2]
     tables = {
         "true_gain": cond.gain,
         "true_cov": cond.cov,

@@ -17,10 +17,6 @@ class DivergentNormalizer(TiltlabError):
     """A tilted-measure normalizing constant does not exist (PD condition failed)."""
 
 
-class SolverDidNotConverge(TiltlabError):
-    """An iterative solver hit its iteration cap above the gradient tolerance."""
-
-
 class NonFiniteGradient(TiltlabError):
     """A gradient contained NaN or infinity during optimization."""
 

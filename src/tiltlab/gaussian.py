@@ -12,7 +12,8 @@ exp(u^T A v) produces model conditionals N(C_uu A v, C_uu); the quadratic
 tilting exp(-u^T B u / 2 + u^T A v - v^T C v / 2) produces
 N((B + C_uu^{-1})^{-1} A v, (B + C_uu^{-1})^{-1}), and symmetrically for v
 given u. The whitened cross-covariance C_uu^{-1/2} C_uv C_vv^{-1/2} and its
-SVD govern every minimizer below.
+SVD govern every minimizer below: minimizer_joint and
+minimizer_quadratic_onesided are spectral maps of the one SVD, _whitened_svd.
 
 Trained linear encoders meet these formulas through linear_encoder_tilting,
 the tilting their weights define, and trained_tilt_oracle, the minimizer
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import TILTING_INNER, TILTING_L2
-from .errors import DivergentNormalizer, NotPositiveDefinite, SolverDidNotConverge
+from .errors import DivergentNormalizer, NotPositiveDefinite
 from .linalg import (
     as_matrix,
     check_symmetric,
@@ -36,10 +37,8 @@ from .linalg import (
     logdet_pd,
     rank_truncate,
     solve_pd,
-    svd_signed,
     sym_sqrt,
 )
-from .training import AdamState, adam_step
 
 
 @dataclass(frozen=True)
@@ -171,9 +170,8 @@ def minimizer_cond(g: BlockGaussian, r: int | None = None) -> np.ndarray:
     if r is None:
         return solve_pd(g.c_uu, solve_pd(g.c_vv, g.c_uv.T).T)
     r = _check_rank(r, g)
-    ru = inv_sym_sqrt(g.c_uu)
-    rv = inv_sym_sqrt(g.c_vv)
-    return ru @ rank_truncate(ru @ g.c_uv @ rv, r) @ rv
+    ru, w, rv = _whitened(g)
+    return ru @ rank_truncate(w, r) @ rv
 
 
 def shrinkage_h(sigma):
@@ -199,18 +197,11 @@ def minimizer_joint(g: BlockGaussian, r: int | None = None) -> np.ndarray:
     """Minimizer of the joint loss for the linear tilting.
 
     SVD the whitened cross-covariance, shrink each singular value through h,
-    unwhiten. A rank budget truncates the shrunken factor; h is increasing,
-    so the kept components are exactly the leading singular directions.
+    unwhiten. A rank budget drops the trailing singular values; h is
+    increasing, so the kept components are exactly the leading directions.
     """
-    if r is not None:
-        r = _check_rank(r, g)
-    ru = inv_sym_sqrt(g.c_uu)
-    rv = inv_sym_sqrt(g.c_vv)
-    u, s, vt = svd_signed(ru @ g.c_uv @ rv)
-    d = shrinkage_h(s)
-    if r is not None:
-        d = np.where(np.arange(d.size) < r, d, 0.0)
-    return ru @ (u * d) @ vt @ rv
+    ru, u, s, vt, rv = _whitened_svd(g, r)
+    return ru @ (u * shrinkage_h(s)) @ vt @ rv
 
 
 def trained_tilt_oracle(loss, tilting: str):
@@ -225,98 +216,39 @@ def trained_tilt_oracle(loss, tilting: str):
     return oracles.get((loss.variant, tilting))
 
 
-# Adam settings for the rank-constrained one-sided solver
-SOLVER_LEARNING_RATE = 1e-2
-SOLVER_MAX_ITERS = 5000
-SOLVER_GRAD_TOL = 1e-8
-
-
 def minimizer_quadratic_onesided(g: BlockGaussian, r: int | None = None) -> QuadraticTiltingParams:
     """Minimizer of the one-sided (u given v) conditional loss over the
-    quadratic tilting family.
+    quadratic tilting family, with b PSD of rank at most r under a budget.
 
-    Unconstrained closed form:
-        A* = C_{u|v}^{-1} C_uv C_vv^{-1}
-        B* = C_uu^{-1} C_uv C_{v|u}^{-1} C_vu C_uu^{-1}  (= C_{u|v}^{-1} - C_uu^{-1})
-    at which the model conditional reproduces the true u given v conditional
-    exactly. The c block is unused by this loss and returned as zeros.
+    With W~ = C_uu^{-1/2} C_uv C_vv^{-1/2} = U diag(s) V^T and every
+    singular value past the r-th set to 0:
 
-    With a rank budget, B is parameterized as G^T G with G of r rows (PSD and
-    rank <= r by construction) and the reduced objective
+        a = C_uu^{-1/2} U diag(s / (1 - s^2)) V^T C_vv^{-1/2}
+        b = C_uu^{-1/2} U diag(s^2 / (1 - s^2)) U^T C_uu^{-1/2}
 
-        Tr(M S) - log det(M S) + || (W)_r - W ||_F^2,
-        M = B + C_uu^{-1},  S = C_{u|v},  W = M^{1/2} C_uv C_vv^{-1/2},
+    Without a budget, a = C_{u|v}^{-1} C_uv C_vv^{-1} and b = C_{u|v}^{-1}
+    - C_uu^{-1}, at which the model conditional is the true one. The c block
+    is unused by this loss and returned as zeros.
 
-    is minimized by Adam (training.adam_step) with an exact gradient
-    (including the Frechet derivative of the matrix square root), at step
-    size SOLVER_LEARNING_RATE until the gradient norm is at most
-    SOLVER_GRAD_TOL; SolverDidNotConverge after SOLVER_MAX_ITERS steps.
-    A*(r) = M^{1/2} (W)_r C_vv^{-1/2}.
+    Why it is the minimizer. Write X = C_uu^{1/2} b C_uu^{1/2} (PSD, rank
+    <= r). Minimizing over a first, the loss is, up to constants,
+
+        [Tr((I + X)(I - W~ W~^T)) - log det(I + X)]
+            + sum_{i>r} lambda_i(W~^T (I + X) W~).
+
+    The second term is at least sum_{i>r} s_i^2 for every X >= 0, since
+    eigenvalues are monotone, with equality when X lives on span(U_r). The
+    first is the Stein loss of a rank-r precision update, minimized by
+    X = U_r diag(s^2 / (1 - s^2)) U_r^T, which lives there. At that b the
+    optimal a, M^{1/2} (M^{1/2} C_uv C_vv^{-1/2})_r C_vv^{-1/2} with
+    M = b + C_uu^{-1}, reduces to the formula above.
     """
-    cond = conditional_u_given_v(g)
-    s_cond = cond.cov
-    c_uu_inv = inv_pd(g.c_uu)
-    b_star = solve_pd(s_cond, np.eye(g.n_x)) - c_uu_inv
-    b_star = 0.5 * (b_star + b_star.T)
-    a_star = solve_pd(s_cond, solve_pd(g.c_vv, g.c_uv.T).T)
-    zeros_c = np.zeros((g.n_y, g.n_y))
-    if r is None:
-        return QuadraticTiltingParams(a=a_star, b=b_star, c=zeros_c)
-
-    r = _check_rank(r, g)
-    p = g.c_uv @ inv_sym_sqrt(g.c_vv)
-    rv = inv_sym_sqrt(g.c_vv)
-
-    # Deterministic init: eigen-truncate the unconstrained B* to rank r and
-    # factor the kept part as G0^T G0.
-    w_b, q_b = np.linalg.eigh(b_star)
-    order = np.argsort(w_b)[::-1][:r]
-    kept = np.clip(w_b[order], 0.0, None)
-    g_mat = (np.sqrt(kept)[:, None] * q_b[:, order].T)
-
-    def gradient(gm: np.ndarray) -> np.ndarray:
-        m = gm.T @ gm + c_uu_inv
-        m = 0.5 * (m + m.T)
-        lam, q = np.linalg.eigh(m)
-        if lam[0] <= 0.0:
-            raise NotPositiveDefinite("B + C_uu^{-1} lost positive definiteness")
-        sq = np.sqrt(lam)
-        m_sqrt = (q * sq) @ q.T
-        m_inv = (q / lam) @ q.T
-        w = m_sqrt @ p
-        uw, sw, vtw = np.linalg.svd(w, full_matrices=False)
-        w_top = (uw[:, :r] * sw[:r]) @ vtw[:r, :]
-        # grad wrt M: S - M^{-1} + P P^T - sqrt-adjoint of 2 W_r P^T
-        z = w_top @ p.T
-        z = z + z.T  # = sym(2 W_r P^T) * 2 ... sym(2Z) = Z + Z^T
-        phi = 1.0 / (sq[:, None] + sq[None, :])
-        adj = q @ (phi * (q.T @ z @ q)) @ q.T
-        grad_m = s_cond - m_inv + p @ p.T - adj
-        grad_m = 0.5 * (grad_m + grad_m.T)
-        return 2.0 * gm @ grad_m
-
-    theta = g_mat.ravel().copy()
-    state = AdamState.zeros(theta.size)
-    grad_norm = np.inf
-    for _ in range(SOLVER_MAX_ITERS):
-        gflat = gradient(theta.reshape(r, g.n_x)).ravel()
-        grad_norm = float(np.linalg.norm(gflat))
-        if grad_norm <= SOLVER_GRAD_TOL:
-            break
-        theta, state = adam_step(theta, gflat, state, SOLVER_LEARNING_RATE)
-    if grad_norm > SOLVER_GRAD_TOL:
-        raise SolverDidNotConverge(
-            f"rank-{r} one-sided solver: gradient norm {grad_norm:.3e} after "
-            f"{SOLVER_MAX_ITERS} iterations (tolerance {SOLVER_GRAD_TOL:.1e})"
-        )
-    gm = theta.reshape(r, g.n_x)
-    b_r = gm.T @ gm
-    b_r = 0.5 * (b_r + b_r.T)
-    m = b_r + c_uu_inv
-    m_sqrt = sym_sqrt(0.5 * (m + m.T))
-    w = m_sqrt @ p
-    a_r = m_sqrt @ rank_truncate(w, r) @ rv
-    return QuadraticTiltingParams(a=a_r, b=b_r, c=zeros_c)
+    ru, u, s, vt, rv = _whitened_svd(g, r)
+    one_minus_s2 = (1.0 - s) * (1.0 + s)  # no cancellation as s nears 1
+    a = ru @ (u * (s / one_minus_s2)) @ vt @ rv
+    k = ru @ u
+    b = (k * (s * s / one_minus_s2)) @ k.T
+    return QuadraticTiltingParams(a=a, b=0.5 * (b + b.T), c=np.zeros((g.n_y, g.n_y)))
 
 
 def model_conditional(tilting, side: str, g: BlockGaussian) -> GaussianConditionalMap:
@@ -503,6 +435,22 @@ def _check_a(a, g: BlockGaussian) -> np.ndarray:
     if a.shape != (g.n_x, g.n_y):
         raise ValueError(f"tilting matrix shape {a.shape}, expected {(g.n_x, g.n_y)}")
     return a
+
+
+def _whitened(g: BlockGaussian):
+    """(C_uu^{-1/2}, C_uu^{-1/2} C_uv C_vv^{-1/2}, C_vv^{-1/2})."""
+    ru, rv = inv_sym_sqrt(g.c_uu), inv_sym_sqrt(g.c_vv)
+    return ru, ru @ g.c_uv @ rv, rv
+
+
+def _whitened_svd(g: BlockGaussian, r: int | None):
+    """(C_uu^{-1/2}, U, s, V^T, C_vv^{-1/2}), U diag(s) V^T the thin SVD of the
+    whitened cross-covariance with every singular value past the r-th zeroed."""
+    ru, w, rv = _whitened(g)
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    if r is not None:
+        s = np.where(np.arange(s.size) < _check_rank(r, g), s, 0.0)
+    return ru, u, s, vt, rv
 
 
 def _check_rank(r: int, g: BlockGaussian) -> int:

@@ -3,8 +3,7 @@
 Matrices are plain float64 numpy arrays. Symmetric positive definiteness is
 always established by attempting a Cholesky factorization; eigendecompositions
 are used only where square roots or truncations require them. All computation
-is 64-bit and deterministic; SVD factors follow a fixed sign convention so
-factorizations are reproducible across runs.
+is 64-bit and deterministic.
 """
 
 from __future__ import annotations
@@ -82,27 +81,6 @@ def inv_sym_sqrt(m: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} is not positive")
     root = (q / np.sqrt(w)) @ q.T
     return 0.5 * (root + root.T)
-
-
-def svd_signed(m: np.ndarray):
-    """Thin SVD (u, s, vt) with a deterministic sign convention.
-
-    The first entry of each left singular vector with magnitude above
-    1e-12 times the column maximum is made nonnegative; the matching row
-    of vt is flipped with it, so u @ diag(s) @ vt is unchanged.
-    """
-    m = as_matrix(m)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        scale = np.max(np.abs(col))
-        if scale == 0.0:
-            continue
-        nz = np.nonzero(np.abs(col) > 1e-12 * scale)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
-    return u, s, vt
 
 
 def rank_truncate(m: np.ndarray, r: int) -> np.ndarray:

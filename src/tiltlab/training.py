@@ -8,10 +8,10 @@ both encoders. Each side runs its forward pass once per step
 (encoders.encode_with_vjp) and its gradient reuses that pass. Specs without
 trainable parameters (one_hot, frozen_table) pass through untouched.
 
-adam_step is the package's one Adam update: train, crossmodal.fine_tune and
-the rank-constrained solver gaussian.minimizer_quadratic_onesided all call
-it. It keeps its moments in preallocated buffers that it updates in place,
-and its betas and epsilon are the module constants ADAM_BETAS and ADAM_EPS.
+adam_step is the package's one Adam update: train and crossmodal.fine_tune
+call it. It keeps its moments in preallocated buffers that it updates in
+place, and its betas and epsilon are the module constants ADAM_BETAS and
+ADAM_EPS.
 
 A step takes one of two paths, fixed by the loss variant:
   clip, cond, joint    losses.score_step, the tiled score-table kernel, for

@@ -14,11 +14,13 @@ computable by hand:
     model-u marginals       cond 2.7, joint 2.0 (true variance 1.5)
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from tiltlab import gaussian, linalg
-from tiltlab.errors import DivergentNormalizer, NotPositiveDefinite, SolverDidNotConverge
+from tiltlab.errors import DivergentNormalizer, NotPositiveDefinite
 from tiltlab.losses import Kernel, LossKind
 from tiltlab.rng import SeededRng
 from tiltlab.training import ADAM_BETAS, ADAM_EPS
@@ -351,26 +353,15 @@ class TestQuadraticMinimizer:
         # full rank budget recovers the unconstrained optimum
         assert abs(prev - best) < 1e-6
 
-    def test_solver_iteration_cap(self, monkeypatch):
-        g = random_blocks(25, 4, 4)
-        monkeypatch.setattr(gaussian, "SOLVER_MAX_ITERS", 1)
-        monkeypatch.setattr(gaussian, "SOLVER_GRAD_TOL", 1e-16)
-        with pytest.raises(SolverDidNotConverge):
-            gaussian.minimizer_quadratic_onesided(g, r=2)
-
     @staticmethod
-    def inline_adam_rank_r(g, r):
-        """The rank-r solver with its own Adam loop written out, as the
-        solver ran before it shared training.adam_step; the reference for
-        the bit-for-bit check below."""
+    def rank_r_gradient(g, r):
+        """Gradient, as a function of the r x n_x factor G of b = G^T G, of
+        the reduced rank-r objective Tr(M S) - log det(M S) + |(W)_r - W|_F^2
+        with M = b + C_uu^{-1}, S = C_{u|v} and W = M^{1/2} C_uv C_vv^{-1/2},
+        through the Frechet derivative of the matrix square root."""
         s_cond = gaussian.conditional_u_given_v(g).cov
         c_uu_inv = linalg.inv_pd(g.c_uu)
-        b_star = linalg.solve_pd(s_cond, np.eye(g.n_x)) - c_uu_inv
-        b_star = 0.5 * (b_star + b_star.T)
         p = g.c_uv @ linalg.inv_sym_sqrt(g.c_vv)
-        w_b, q_b = np.linalg.eigh(b_star)
-        order = np.argsort(w_b)[::-1][:r]
-        theta = (np.sqrt(np.clip(w_b[order], 0.0, None))[:, None] * q_b[:, order].T).ravel()
 
         def grad(gm):
             m = gm.T @ gm + c_uu_inv
@@ -384,26 +375,77 @@ class TestQuadraticMinimizer:
             grad_m = s_cond - (q / lam) @ q.T + p @ p.T - adj
             return 2.0 * gm @ (0.5 * (grad_m + grad_m.T))
 
+        return grad
+
+    @staticmethod
+    def top_factor(b, r):
+        """r x n factor F of the top-r eigenpairs of b, so F^T F = b when b
+        is PSD of rank at most r."""
+        w_b, q_b = np.linalg.eigh(b)
+        order = np.argsort(w_b)[::-1][:r]
+        return np.sqrt(np.clip(w_b[order], 0.0, None))[:, None] * q_b[:, order].T
+
+    @classmethod
+    def inline_adam_rank_r(cls, g, r):
+        """(a, b) of the rank-r one-sided minimizer found iteratively: Adam
+        at step 1e-2 on the factor G of b, from the eigen-truncated
+        unconstrained b, until the gradient norm is at most 1e-8 or 5000
+        steps; then a = M^{1/2} (M^{1/2} C_uv C_vv^{-1/2})_r C_vv^{-1/2}."""
+        s_cond = gaussian.conditional_u_given_v(g).cov
+        c_uu_inv = linalg.inv_pd(g.c_uu)
+        b_star = linalg.solve_pd(s_cond, np.eye(g.n_x)) - c_uu_inv
+        theta = cls.top_factor(0.5 * (b_star + b_star.T), r).ravel()
+        grad = cls.rank_r_gradient(g, r)
         m1 = np.zeros_like(theta)
         m2 = np.zeros_like(theta)
         b1, b2 = ADAM_BETAS
-        for t in range(1, gaussian.SOLVER_MAX_ITERS + 1):
+        for t in range(1, 5001):
             gflat = grad(theta.reshape(r, g.n_x)).ravel()
-            if float(np.linalg.norm(gflat)) <= gaussian.SOLVER_GRAD_TOL:
+            if float(np.linalg.norm(gflat)) <= 1e-8:
                 break
             m1 = b1 * m1 + (1 - b1) * gflat
             m2 = b2 * m2 + (1 - b2) * gflat**2
             hat1 = m1 / (1 - b1**t)
             hat2 = m2 / (1 - b2**t)
-            theta = theta - gaussian.SOLVER_LEARNING_RATE * hat1 / (np.sqrt(hat2) + ADAM_EPS)
+            theta = theta - 1e-2 * hat1 / (np.sqrt(hat2) + ADAM_EPS)
         gm = theta.reshape(r, g.n_x)
-        return 0.5 * (gm.T @ gm + (gm.T @ gm).T)
+        b = 0.5 * (gm.T @ gm + (gm.T @ gm).T)
+        m_sqrt = linalg.sym_sqrt(b + c_uu_inv)
+        rv = linalg.inv_sym_sqrt(g.c_vv)
+        a = m_sqrt @ linalg.rank_truncate(m_sqrt @ g.c_uv @ rv, r) @ rv
+        return a, b
 
     @pytest.mark.parametrize("seed, r", [(27, 1), (28, 2)])
-    def test_shared_adam_matches_inline_loop_bitwise(self, seed, r):
+    def test_closed_form_matches_the_iterative_solver(self, seed, r):
         g = random_blocks(seed, 4, 3)
         q = gaussian.minimizer_quadratic_onesided(g, r=r)
-        np.testing.assert_array_equal(q.b, self.inline_adam_rank_r(g, r))
+        a, b = self.inline_adam_rank_r(g, r)
+        np.testing.assert_allclose(q.a, a, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(q.b, b, rtol=0, atol=1e-6)
+
+    def test_rank_minimizer_is_stationary_where_adam_stalled(self):
+        # Adam on the factor of b stalls here at gradient norm 1.4e-4 after
+        # 5000 steps, although the singular values are well separated
+        g = random_blocks(13, 4, 4)
+        r = 3
+        q = gaussian.minimizer_quadratic_onesided(g, r=r)
+        f = self.top_factor(q.b, r)
+        np.testing.assert_allclose(f.T @ f, q.b, atol=1e-12)
+        assert np.linalg.norm(self.rank_r_gradient(g, r)(f)) <= 1e-10
+
+    def test_unconstrained_scalar_minimizer_against_exact_arithmetic(self):
+        # a* = c_uv / (S c_vv), b* = 1/S - 1/c_uu with S = c_uu - c_uv^2/c_vv,
+        # in exact rationals of the stored blocks
+        tol = Fraction(1, 10**14)
+        for seed in range(100):
+            g = random_blocks(seed, 1, 1)
+            c_uu, c_uv, c_vv = (Fraction(float(m[0, 0])) for m in (g.c_uu, g.c_uv, g.c_vv))
+            schur = c_uu - c_uv * c_uv / c_vv
+            a_exact = c_uv / (schur * c_vv)
+            b_exact = 1 / schur - 1 / c_uu
+            q = gaussian.minimizer_quadratic_onesided(g)
+            assert abs(Fraction(float(q.a[0, 0])) - a_exact) <= tol * abs(a_exact), seed
+            assert abs(Fraction(float(q.b[0, 0])) - b_exact) <= tol * abs(b_exact), seed
 
     def test_rank_zero(self):
         g = random_blocks(26, 2, 2)

@@ -71,29 +71,6 @@ class TestMatrixSqrt:
         np.testing.assert_allclose(linalg.sym_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
 
 
-class TestSvdSigned:
-    def test_reconstruction(self):
-        m = SeededRng(8).standard_normal((4, 6))
-        u, s, vt = linalg.svd_signed(m)
-        np.testing.assert_allclose(u @ np.diag(s) @ vt, m, atol=1e-12)
-
-    def test_sign_convention(self):
-        # first significant entry of every left singular vector is nonnegative
-        m = SeededRng(9).standard_normal((5, 5))
-        u, s, vt = linalg.svd_signed(m)
-        for j in range(u.shape[1]):
-            col = u[:, j]
-            lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-            assert lead > 0
-
-    def test_deterministic_under_negation_ambiguity(self):
-        m = SeededRng(10).standard_normal((4, 4))
-        u1, s1, v1 = linalg.svd_signed(m)
-        u2, s2, v2 = linalg.svd_signed(m.copy())
-        np.testing.assert_array_equal(u1, u2)
-        np.testing.assert_array_equal(v1, v2)
-
-
 class TestRankTruncate:
     def test_truncation_is_best_in_frobenius(self):
         # Eckart-Young: compare against the partial SVD sum

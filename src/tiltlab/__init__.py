@@ -61,16 +61,7 @@ from .losses import (
     mmd_unbiased,
 )
 from .training import TrainConfig, TrainHistory, adam_step, epoch_batches, train
-from .crossmodal import (
-    ClassifierHead,
-    EmbeddingIndex,
-    build_index,
-    classify,
-    classify_finetuned,
-    fine_tune,
-    recall_at_k,
-    retrieve,
-)
+from .crossmodal import EmbeddingIndex, build_index, classify, recall_at_k, retrieve
 from .datagen import (
     FlowConfig,
     GpConfig,

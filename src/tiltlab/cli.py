@@ -2,9 +2,10 @@
 
 Commands: `tiltlab run <config.json> [--seed N] [--output-dir D]` and
 `tiltlab verify`. All outputs are plot-ready CSV/JSON; a fixed config and
-seed reproduce them byte for byte (nothing time- or locale-dependent is
-written). Config problems exit with status 2 before anything is written;
-runtime failures exit 1.
+seed reproduce them byte for byte on the same machine at the same BLAS
+thread count (nothing time- or locale-dependent is written). Config
+problems exit with status 2 before anything is written; runtime failures
+exit 1.
 """
 
 from __future__ import annotations

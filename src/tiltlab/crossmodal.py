@@ -1,9 +1,19 @@
-"""Downstream tasks on trained encoders: top-k retrieval, zero-shot
-classification, head fine-tuning, and recall metrics.
+"""Downstream tasks on trained encoders: embedding indexes, top-k
+retrieval, recall metrics and zero-shot classification.
 
 Scores are inner products of stored embeddings; with row-normalized
 embeddings (the usual configuration) they are cosine similarities. Ties
 always resolve to the smaller row index, so every ranking is deterministic.
+
+Fine-tuning a label head on frozen embeddings e_1..e_n with labels y_i in
+K classes is one training.train call under LossKind("cond", 2.0, 0.0):
+  u side  linear_spec(K, n_e + 1), the trainable label table W, on one-hot
+          label rows
+  v side  frozen_table_spec(n, n_e + 1) with rows [e_i, 1], on the column
+          of indices i
+The logits are [e_i, 1] W / tau, so the ones column carries the per-class
+bias, and the (2, 0) conditional loss is their cross-entropy under the
+batch label prior. Predict argmax_c of [e, 1] W.
 """
 
 from __future__ import annotations
@@ -12,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import EncoderParams, EncoderSpec, _unit_rows, encode
-from .errors import NonFiniteGradient
+from .encoders import _unit_rows
 from .losses import _axis_lse_softmax
-from .training import AdamState, TrainConfig, adam_step, epoch_batches
 
 
 @dataclass(frozen=True)
@@ -61,102 +69,6 @@ def classify(u_embedding, labels, tau: float):
     s = labels @ q
     probs = _axis_lse_softmax(s / tau, None)[1]
     return int(np.argmax(s)), probs
-
-
-@dataclass(frozen=True)
-class ClassifierHead:
-    """Label embedding table (columns) plus a log-prior bias, with the
-    temperature baked in at evaluation."""
-
-    g_table: np.ndarray
-    f_bias: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        g = np.asarray(self.g_table, dtype=np.float64)
-        f = np.asarray(self.f_bias, dtype=np.float64).reshape(-1)
-        if g.ndim != 2 or g.shape[1] != f.size:
-            raise ValueError("g_table columns must match f_bias length")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(f))):
-            raise ValueError("head must be finite")
-        object.__setattr__(self, "g_table", g)
-        object.__setattr__(self, "f_bias", f)
-
-
-def head_logits(head: ClassifierHead, e_u: np.ndarray) -> np.ndarray:
-    return e_u @ head.g_table / head.tau + head.f_bias
-
-
-def classify_finetuned(u, u_spec: EncoderSpec, u_params: EncoderParams, head: ClassifierHead) -> int:
-    e = encode(u_spec, u_params, np.atleast_2d(np.asarray(u, dtype=np.float64)))
-    return int(np.argmax(head_logits(head, e)[0]))
-
-
-def fine_tune(
-    u_spec: EncoderSpec,
-    u_params: EncoderParams,
-    n_classes: int,
-    data,
-    cfg: TrainConfig,
-    v_spec: EncoderSpec | None = None,
-    v_params: EncoderParams | None = None,
-) -> ClassifierHead:
-    """Learn a label head (G, F) for a frozen input encoder.
-
-    Minimizes -mean_i <e_{y_i}, logits_i> + mean_i log sum_c pi_c
-    exp(logits_ic) over minibatches, where logits = e_u G / tau + F and pi
-    is the batch's empirical label marginal. G starts from the pretrained
-    label encoder evaluated at the K labels when one is supplied, else
-    zeros; F starts at zero. The loss is invariant to F -> F + c.
-    """
-    if n_classes < 1:
-        raise ValueError("need at least one class")
-    u_all = np.asarray(data.u, dtype=np.float64)
-    y_all = np.asarray(data.v, dtype=np.float64).reshape(-1)
-    labels = np.round(y_all).astype(np.int64)
-    if not np.all(np.abs(y_all - labels) < 1e-9):
-        raise ValueError("labels must be integral")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"label outside the {n_classes}-class set")
-    if labels.size < n_classes:
-        raise ValueError("need at least as many pairs as classes")
-
-    n_e = u_spec.n_e
-    if v_spec is not None and v_params is not None:
-        g_table = encode(v_spec, v_params, np.arange(n_classes)[:, None]).T
-        if g_table.shape != (n_e, n_classes):
-            raise ValueError("pretrained label encoder width does not match")
-    else:
-        g_table = np.zeros((n_e, n_classes))
-    f_bias = np.zeros(n_classes)
-
-    theta = np.concatenate([g_table.ravel(), f_bias])
-    state = AdamState.zeros(theta.size)
-    n = labels.size
-    for epoch in range(cfg.epochs):
-        for step, idx in enumerate(epoch_batches(n, cfg.batch_size, cfg.seed, epoch)):
-            e = encode(u_spec, u_params, u_all[idx])
-            y = labels[idx]
-            g = theta[: n_e * n_classes].reshape(n_e, n_classes)
-            f = theta[n_e * n_classes :]
-            logits = e @ g / cfg.tau + f
-            log_pi = np.full(n_classes, -np.inf)
-            present, counts = np.unique(y, return_counts=True)
-            log_pi[present] = np.log(counts / y.size)
-            post = _axis_lse_softmax(logits + log_pi, 1)[1]
-            b = y.size
-            dlogits = post / b
-            dlogits[np.arange(b), y] -= 1.0 / b
-            grad = np.concatenate([(e.T @ dlogits / cfg.tau).ravel(), dlogits.sum(axis=0)])
-            try:
-                theta, state = adam_step(theta, grad, state, cfg.learning_rate)
-            except NonFiniteGradient as exc:
-                raise NonFiniteGradient(f"fine-tune epoch {epoch}, step {step}: {exc}") from exc
-    return ClassifierHead(
-        g_table=theta[: n_e * n_classes].reshape(n_e, n_classes),
-        f_bias=theta[n_e * n_classes :],
-        tau=cfg.tau,
-    )
 
 
 def recall_at_k(queries, truth_ids, index: EmbeddingIndex, k: int) -> float:

@@ -127,9 +127,9 @@ def _square_scores(s, min_n: int = 2) -> np.ndarray:
 def _axis_lse_softmax(arr: np.ndarray, axis: int | None):
     """Shifted-exp logsumexp and softmax along one axis (or over every entry
     when axis is None) from a single exp pass. The package's one softmax:
-    the losses, crossmodal.classify, crossmodal.fine_tune and the MNIST
-    label probabilities use it. The softmax takes the same operations as
-    scipy.special.softmax, so it gives the same bits."""
+    the losses, crossmodal.classify and the MNIST label probabilities use
+    it. The softmax takes the same operations as scipy.special.softmax, so
+    it gives the same bits."""
     m = np.max(arr, axis=axis, keepdims=True)
     e = np.subtract(arr, m)
     np.exp(e, out=e)

@@ -8,10 +8,10 @@ both encoders. Each side runs its forward pass once per step
 (encoders.encode_with_vjp) and its gradient reuses that pass. Specs without
 trainable parameters (one_hot, frozen_table) pass through untouched.
 
-adam_step is the package's one Adam update: train and crossmodal.fine_tune
-call it. It keeps its moments in preallocated buffers that it updates in
-place, and its betas and epsilon are the module constants ADAM_BETAS and
-ADAM_EPS.
+adam_step is the package's one Adam update and train its one loop;
+fine-tuning a label head is a train call (see crossmodal). adam_step keeps
+its moments in preallocated buffers that it updates in place, and its betas
+and epsilon are the module constants ADAM_BETAS and ADAM_EPS.
 
 A step takes one of two paths, fixed by the loss variant:
   clip, cond, joint    losses.score_step, the tiled score-table kernel, for
@@ -21,8 +21,8 @@ A step takes one of two paths, fixed by the loss variant:
   cond_mmd, joint_mmd  the generic chain similarity_matrix ->
                        loss_value_and_grad -> similarity_vjp, which is also
                        the test oracle for the kernel
-A non-finite gradient, Adam moment or parameter raises NonFiniteGradient
-naming the epoch and step.
+Non-finite scores raise ValueError, and a non-finite gradient, Adam moment
+or parameter raises NonFiniteGradient; either names the epoch and step.
 """
 
 from __future__ import annotations
@@ -205,25 +205,25 @@ def train(
             v_batch = v_all[idx]
             e_u, vjp_u = encode_with_vjp(spec_u, params_u, u_batch)
             e_v, vjp_v = encode_with_vjp(spec_v, params_v, v_batch)
-            if softmax_family:
-                value, cot_u, cot_v, shifted = score_step(
-                    cfg.loss, e_u, e_v, cfg.tilting, cfg.tau, ws
-                )
-                shifted_steps += shifted
-            else:
-                s = similarity_matrix(e_u, e_v, cfg.tilting, cfg.tau)
-                value, ds = loss_value_and_grad(cfg.loss, s, u_batch, v_batch)
-                cot_u, cot_v = similarity_vjp(e_u, e_v, cfg.tilting, cfg.tau, ds)
-            step_losses.append(value)
             try:
+                if softmax_family:
+                    value, cot_u, cot_v, shifted = score_step(
+                        cfg.loss, e_u, e_v, cfg.tilting, cfg.tau, ws
+                    )
+                    shifted_steps += shifted
+                else:
+                    s = similarity_matrix(e_u, e_v, cfg.tilting, cfg.tau)
+                    value, ds = loss_value_and_grad(cfg.loss, s, u_batch, v_batch)
+                    cot_u, cot_v = similarity_vjp(e_u, e_v, cfg.tilting, cfg.tau, ds)
+                step_losses.append(value)
                 if spec_u.trainable:
                     theta_u, state_u = adam_step(params_u.theta, vjp_u(cot_u), state_u, lr)
                     params_u = EncoderParams(theta_u, spec_u.shape_table())
                 if spec_v.trainable:
                     theta_v, state_v = adam_step(params_v.theta, vjp_v(cot_v), state_v, lr)
                     params_v = EncoderParams(theta_v, spec_v.shape_table())
-            except NonFiniteGradient as exc:
-                raise NonFiniteGradient(f"epoch {epoch}, step {step}: {exc}") from exc
+            except (NonFiniteGradient, ValueError) as exc:
+                raise type(exc)(f"epoch {epoch}, step {step}: {exc}") from exc
         history.losses.append(float(np.mean(step_losses)))
         history.metrics.append(dict(probe(epoch, params_u, params_v)) if probe else {})
         history.seconds.append(time.perf_counter() - tic)

@@ -20,7 +20,7 @@ import pytest
 from scipy.special import logsumexp, softmax
 
 from tiltlab import cli, crossmodal, datagen, encoders, gaussian, losses, training
-from tiltlab.datagen import GpConfig, PairedDataset, sample_block_gaussian
+from tiltlab.datagen import GpConfig, sample_block_gaussian
 from tiltlab.encoders import (
     EncoderParams,
     encode,
@@ -352,7 +352,7 @@ def _mnist_dir():
     )
 
 
-def test_criterion_10_classification_is_cross_entropy():
+def test_criterion_10_classification_is_cross_entropy(tmp_path):
     # the (2, 0) conditional loss with one-hot labels on one side is plain
     # multiclass cross-entropy with the batch label prior baked in
     t0 = time.perf_counter()
@@ -379,38 +379,36 @@ def test_criterion_10_classification_is_cross_entropy():
     detail = f"max |loss - CE| {worst:.2e} over 20 batches"
 
     mnist_ok = True
-    images_path = os.path.join(_mnist_dir(), "train-images-idx3-ubyte")
-    labels_path = os.path.join(_mnist_dir(), "train-labels-idx1-ubyte")
-    if os.path.exists(images_path) and os.path.exists(labels_path):
-        images, labels = datagen.mnist_load(images_path, labels_path)
-        t_img = os.path.join(_mnist_dir(), "t10k-images-idx3-ubyte")
-        t_lab = os.path.join(_mnist_dir(), "t10k-labels-idx1-ubyte")
-        if os.path.exists(t_img) and os.path.exists(t_lab):
-            test_images, test_labels = datagen.mnist_load(t_img, t_lab)
-        else:
-            split = images.shape[0] // 6
-            test_images, test_labels = images[-split:], labels[-split:]
-            images, labels = images[:-split], labels[:-split]
-        data = PairedDataset(u=labels[:, None].astype(np.float64), v=images)
-        spec_img = encoders.mlp_spec([images.shape[1], 128, 10], activation="relu")
-        cfg = TrainConfig(
-            seed=1234,
-            epochs=10,
-            batch_size=128,
-            learning_rate=1e-3,
-            tau=1.0,
-            loss=LossKind("cond", 2.0, 0.0),
-            tilting="inner_product",
-        )
-        init_u = init_params(spec_u, SeededRng(1234).split(10, 1))
-        init_v = init_params(spec_img, SeededRng(1234).split(10, 0))
-        _, params_img, _ = train(cfg, data, spec_u, spec_img, init_u, init_v)
-        correct = 0
-        for start in range(0, test_images.shape[0], 1024):
-            chunk = test_images[start : start + 1024]
-            pred = np.argmax(encode(spec_img, params_img, chunk), axis=1)
-            correct += int(np.sum(pred == test_labels[start : start + 1024]))
-        acc = correct / test_images.shape[0]
+    names = {
+        "images": "train-images-idx3-ubyte",
+        "labels": "train-labels-idx1-ubyte",
+        "test_images": "t10k-images-idx3-ubyte",
+        "test_labels": "t10k-labels-idx1-ubyte",
+    }
+    paths = {key: os.path.join(_mnist_dir(), name) for key, name in names.items()}
+    if os.path.exists(paths["images"]) and os.path.exists(paths["labels"]):
+        if not (os.path.exists(paths["test_images"]) and os.path.exists(paths["test_labels"])):
+            # the runner holds out the last sixth of the training files
+            del paths["test_images"], paths["test_labels"]
+        doc = {
+            "experiment": "mnist",
+            "seed": 1234,
+            "output_dir": str(tmp_path / "mnist"),
+            "mnist": paths,
+            "hidden": 128,
+            "train": {
+                "epochs": 10,
+                "batch_size": 128,
+                "learning_rate": 1e-3,
+                "tau": 1.0,
+                "loss": {"variant": "cond", "lam_u": 2.0, "lam_v": 0.0},
+            },
+        }
+        cfg_path = tmp_path / "mnist.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", str(cfg_path)]) == 0
+        with open(tmp_path / "mnist" / "report.json", encoding="utf-8") as fh:
+            acc = json.load(fh)["results"]["final_heldout_accuracy"]
         mnist_ok = acc >= 0.90
         detail += f"; mnist heldout accuracy {acc:.4f} >= 0.90"
     else:

@@ -1,37 +1,16 @@
-"""Retrieval, classification, and fine-tuning on top of stored embeddings."""
+"""Retrieval, classification, recall, and label-head fine-tuning through\ntrain on top of stored embeddings."""
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp, softmax
 
 from tiltlab import encoders
-from tiltlab.crossmodal import (
-    ClassifierHead,
-    build_index,
-    classify,
-    classify_finetuned,
-    fine_tune,
-    head_logits,
-    recall_at_k,
-    retrieve,
-)
+from tiltlab.crossmodal import build_index, classify, recall_at_k, retrieve
+from tiltlab.datagen import PairedDataset
 from tiltlab.errors import ZeroNormRow
 from tiltlab.losses import LossKind
 from tiltlab.rng import SeededRng
-from tiltlab.training import TrainConfig
-
-
-def fine_tune_loss(head: ClassifierHead, e_u, labels) -> float:
-    """The fine-tuning objective on a full batch of embeddings:
-    -mean_i logit_{i, y_i} + mean_i log sum_c pi_c exp(logit_ic), with pi the
-    batch's empirical label marginal."""
-    e_u = np.atleast_2d(np.asarray(e_u, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    logits = head_logits(head, e_u)
-    log_pi = np.full(head.f_bias.size, -np.inf)
-    present, counts = np.unique(y, return_counts=True)
-    log_pi[present] = np.log(counts / y.size)
-    return float(-np.mean(logits[np.arange(y.size), y]) + np.mean(logsumexp(logits + log_pi, axis=1)))
+from tiltlab.training import TrainConfig, train
 
 
 class TestIndex:
@@ -208,108 +187,44 @@ class TestRecall:
 
 
 class TestFineTune:
-    @staticmethod
-    def cluster_data(seed, n_per=40, n_classes=3, spread=0.25):
-        rng = SeededRng(seed)
-        centers = np.array([[2.0, 0.0], [-2.0, 1.0], [0.0, -2.0]])[:n_classes]
-        u = np.vstack(
-            [
-                centers[c] + spread * rng.split(c).standard_normal((n_per, 2))
-                for c in range(n_classes)
-            ]
-        )
-        y = np.repeat(np.arange(n_classes), n_per)
-
-        class Data:
-            pass
-
-        d = Data()
-        perm = rng.split(99).permutation(n_per * n_classes)
-        d.u = u[perm]
-        d.v = y[perm].astype(np.float64)[:, None]
-        return d
-
-    @staticmethod
-    def head_config(**overrides):
-        base = dict(
-            seed=11,
-            epochs=60,
-            batch_size=32,
-            learning_rate=5e-2,
-            tau=1.0,
-            loss=LossKind("cond", 2.0, 0.0),
-            tilting="inner_product",
-        )
-        base.update(overrides)
-        return TrainConfig(**base)
-
     def test_learns_separable_clusters(self):
-        data = self.cluster_data(7)
-        spec = encoders.linear_spec(2, 2)
-        params = encoders.EncoderParams(np.eye(2).ravel(), spec.shape_table())
-        head = fine_tune(spec, params, 3, data, self.head_config())
-        preds = [classify_finetuned(u, spec, params, head) for u in data.u]
-        truth = data.v.reshape(-1).astype(int)
-        acc = float(np.mean(np.asarray(preds) == truth))
+        # fine-tuning a label head is one train call: a trainable label
+        # table on one-hot label rows against the frozen embeddings [e_i, 1],
+        # under cond(2, 0); the ones column carries the per-class bias
+        rng = SeededRng(7)
+        centers = np.array([[2.0, 0.0], [-2.0, 1.0], [0.0, -2.0]])
+        u = np.vstack([centers[c] + 0.25 * rng.split(c).standard_normal((40, 2)) for c in range(3)])
+        perm = rng.split(99).permutation(120)
+        e1 = np.hstack([u[perm], np.ones((120, 1))])
+        y = np.repeat(np.arange(3), 40)[perm]
+        data = PairedDataset(u=np.eye(3)[y], v=np.arange(120.0)[:, None])
+        spec_u = encoders.linear_spec(3, 3)
+        spec_v = encoders.frozen_table_spec(120, 3)
+        frozen = encoders.params_from_table(spec_v, e1)
+
+        def head(**overrides):
+            base = dict(
+                seed=11,
+                epochs=60,
+                batch_size=32,
+                learning_rate=5e-2,
+                tau=1.0,
+                loss=LossKind("cond", 2.0, 0.0),
+                tilting="inner_product",
+            )
+            cfg = TrainConfig(**{**base, **overrides})
+            init = encoders.init_params(spec_u, SeededRng(12))
+            table, _, history = train(cfg, data, spec_u, spec_v, init, frozen)
+            return init.unflatten()["w0"], table.unflatten()["w0"], history
+
+        _, w, _ = head()
+        acc = float(np.mean(np.argmax(e1 @ w, axis=1) == y))
         assert acc >= 0.95
 
-    def test_loss_invariant_to_bias_shift(self):
-        data = self.cluster_data(8)
-        spec = encoders.linear_spec(2, 2)
-        params = encoders.EncoderParams(np.eye(2).ravel(), spec.shape_table())
-        head = fine_tune(spec, params, 3, data, self.head_config(epochs=5))
-        e = encoders.encode(spec, params, data.u)
-        y = data.v.reshape(-1)
-        base = fine_tune_loss(head, e, y)
-        shifted = ClassifierHead(head.g_table, head.f_bias + 3.21, head.tau)
-        assert abs(fine_tune_loss(shifted, e, y) - base) < 1e-12
-
-    def test_pretrained_label_encoder_seeds_g_table(self):
-        data = self.cluster_data(9)
-        spec_u = encoders.linear_spec(2, 3)
-        params_u = encoders.init_params(spec_u, SeededRng(10))
-        spec_v = encoders.one_hot_spec(3)
-        params_v = encoders.init_params(spec_v, SeededRng(11))
-        # epochs=1 with tiny lr keeps the head near its init, which must be
-        # the label encoder evaluated at the K labels
-        cfg = self.head_config(epochs=1, learning_rate=1e-9)
-        head = fine_tune(spec_u, params_u, 3, data, cfg, spec_v, params_v)
-        want = encoders.encode(spec_v, params_v, np.arange(3)[:, None]).T
-        np.testing.assert_allclose(head.g_table, want, atol=1e-6)
-
-    def test_label_validation(self):
-        spec = encoders.linear_spec(2, 2)
-        params = encoders.init_params(spec, SeededRng(12))
-
-        class Frac:
-            u = np.zeros((4, 2))
-            v = np.array([[0.5], [1.0], [0.0], [1.0]])
-
-        with pytest.raises(ValueError):
-            fine_tune(spec, params, 2, Frac(), self.head_config(epochs=1))
-
-        class OutOfRange:
-            u = np.zeros((4, 2))
-            v = np.array([[0.0], [1.0], [2.0], [0.0]])
-
-        with pytest.raises(ValueError):
-            fine_tune(spec, params, 2, OutOfRange(), self.head_config(epochs=1))
-
-        class TooFew:
-            u = np.zeros((2, 2))
-            v = np.array([[0.0], [1.0]])
-
-        with pytest.raises(ValueError):
-            fine_tune(spec, params, 3, TooFew(), self.head_config(epochs=1, batch_size=2))
-
-    def test_head_validation(self):
-        with pytest.raises(ValueError):
-            ClassifierHead(np.zeros((2, 3)), np.zeros(2), 1.0)
-        with pytest.raises(ValueError):
-            ClassifierHead(np.full((2, 2), np.nan), np.zeros(2), 1.0)
-
-    def test_head_logits_shape_and_value(self):
-        head = ClassifierHead(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.5, -0.5]), 0.5)
-        logits = head_logits(head, np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(logits, [[2.5, 3.5]], atol=1e-14)
-
+        # one full batch: the loss at the initial table is the cross-entropy
+        # of logits [e_i, 1] W / tau under the batch label prior
+        w0, _, history = head(epochs=1, batch_size=120, tau=0.5)
+        logits = e1 @ w0 / 0.5
+        log_pi = np.log(np.bincount(y) / 120)
+        ce = -np.mean(logits[np.arange(120), y]) + np.mean(logsumexp(logits + log_pi, axis=1))
+        assert abs(history.losses[0] - ce) < 1e-12

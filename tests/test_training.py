@@ -313,6 +313,23 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteGradient, match="epoch 0, step 0"):
             train(cfg, Data(), spec, spec, p, p)
 
+    @pytest.mark.parametrize("tilting", encoders.TILTINGS)
+    @pytest.mark.parametrize("variant", losses.LOSS_VARIANTS)
+    def test_divergent_scores_name_epoch_and_step(self, variant, tilting):
+        # a learning rate of 1e300 throws the parameters to about 1e300
+        # after one step, so the next step's scores overflow; the error
+        # keeps its type and names where the run diverged
+        data = toy_data(12, 64)
+        spec = encoders.linear_spec(1, 2)
+        pu = encoders.init_params(spec, SeededRng(13).split(0))
+        pv = encoders.init_params(spec, SeededRng(13).split(1))
+        kernel = losses.Kernel("gaussian") if variant.endswith("mmd") else None
+        loss = LossKind(variant, kernel=kernel)
+        cfg = small_config(epochs=1, batch_size=16, learning_rate=1e300, tilting=tilting, loss=loss)
+        want = "^epoch 0, step 1: non-finite similarity scores$"
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
+            train(cfg, data, spec, spec, pu, pv)
+
 
 class TestHistoryCsv:
     @staticmethod

@@ -61,7 +61,7 @@ from .losses import (
     mmd_unbiased,
 )
 from .training import TrainConfig, TrainHistory, adam_step, epoch_batches, train
-from .crossmodal import EmbeddingIndex, build_index, classify, recall_at_k, retrieve
+from .crossmodal import EmbeddingIndex, build_index, classify, recall_at_k, retrieve, true_ranks
 from .datagen import (
     FlowConfig,
     GpConfig,

@@ -521,11 +521,15 @@ def _run_lagrangian(plan: RunPlan):
         e_v = encoders.encode(spec_v, params_v, feats[test_ids])
         idx_u = crossmodal.build_index(e_u, test_ids.tolist(), normalized=True)
         idx_v = crossmodal.build_index(e_v, test_ids.tolist(), normalized=True)
+        ranks = {
+            "traj_to_coeff": crossmodal.true_ranks(e_v, test_ids.tolist(), idx_u),
+            "coeff_to_traj": crossmodal.true_ranks(e_u, test_ids.tolist(), idx_v),
+        }
+        # recall_at_k's threshold, on ranks taken once per direction
         return {
-            "r1_traj_to_coeff": crossmodal.recall_at_k(e_v, test_ids.tolist(), idx_u, 1),
-            "r5_traj_to_coeff": crossmodal.recall_at_k(e_v, test_ids.tolist(), idx_u, 5),
-            "r1_coeff_to_traj": crossmodal.recall_at_k(e_u, test_ids.tolist(), idx_v, 1),
-            "r5_coeff_to_traj": crossmodal.recall_at_k(e_u, test_ids.tolist(), idx_v, 5),
+            f"r{k}_{name}": np.count_nonzero(r < min(k, r.size)) / r.size
+            for name, r in ranks.items()
+            for k in (1, 5)
         }
 
     def probe(epoch, pu, pv):

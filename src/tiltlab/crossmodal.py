@@ -71,21 +71,19 @@ def classify(u_embedding, labels, tau: float):
     return int(np.argmax(s)), probs
 
 
-def recall_at_k(queries, truth_ids, index: EmbeddingIndex, k: int) -> float:
-    """Fraction of queries whose true paired id lands in the top k.
+def true_ranks(queries, truth_ids, index: EmbeddingIndex) -> np.ndarray:
+    """Rank of each query's best-placed true row in the index, 0 the best.
 
     Index rows are ranked as retrieve ranks them: by score, ties to the
     smaller row index, so row r of a query's scores s ranks at
-    #(s > s_r) + #(s == s_r and row < r). A query hits when the best-placed
-    row carrying its id ranks below k; an id absent from the index never
-    hits. Ids are matched as dict keys, so they must be hashable.
+    #(s > s_r) + #(s == s_r and row < r). A query's true rows are those
+    carrying its id; an id absent from the index ranks at the index size.
+    Ids are matched as dict keys, so they must be hashable.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     truth = list(truth_ids)
     if queries.shape[0] != len(truth):
         raise ValueError("one truth id per query required")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     scores = queries @ index.items.T
     n = scores.shape[1]
     rows_of = {}
@@ -93,7 +91,7 @@ def recall_at_k(queries, truth_ids, index: EmbeddingIndex, k: int) -> float:
         rows_of.setdefault(i, []).append(row)
     pairs = [(q, row) for q, i in enumerate(truth) for row in rows_of.get(i, ())]
     if not pairs:
-        return 0.0
+        return np.full(len(truth), n)
     q_of, row_of = np.array(pairs).T
     # best-placed true row per query: highest score, then smallest row
     s_pair = scores[q_of, row_of]
@@ -108,4 +106,16 @@ def recall_at_k(queries, truth_ids, index: EmbeddingIndex, k: int) -> float:
     ahead = np.count_nonzero(scores > s_true, axis=1) + np.count_nonzero(
         (scores == s_true) & (np.arange(n) < best[:, None]), axis=1
     )
-    return np.count_nonzero((best < n) & (ahead < k)) / len(truth)
+    return np.where(best < n, ahead, n)
+
+
+def recall_at_k(queries, truth_ids, index: EmbeddingIndex, k: int) -> float:
+    """Fraction of queries whose true paired id lands in the top k: those
+    whose true_ranks lie below min(k, index size), so an id absent from the
+    index never hits."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    ranks = true_ranks(queries, truth_ids, index)
+    if not ranks.size:
+        return 0.0
+    return np.count_nonzero(ranks < min(k, len(index.ids))) / ranks.size

@@ -57,7 +57,9 @@ class GpConfig:
     points with iid observation noise; the second modality keeps the first
     n_coeffs KL coefficients raw (the basis-normalization constant is left
     in the eigenfunctions, and the empirical-covariance pathway downstream
-    is insensitive to that convention)."""
+    is insensitive to that convention). gp_modality_pair draws the KL
+    coefficients in stream order and in row blocks; the pairs are those of
+    the whole draw, without holding its n x n_modes matrix."""
 
     tau_inv_length: float = 3.0
     alpha: float = 2.0
@@ -103,14 +105,33 @@ def gp_analytic_blocks(cfg: GpConfig) -> BlockGaussian:
     )
 
 
+# most rows of KL coefficients held at once by gp_modality_pair
+GP_BLOCK_ROWS = 1024
+
+
 def gp_modality_pair(cfg: GpConfig, n: int, rng: SeededRng) -> PairedDataset:
+    """n pairs u = xi @ phi.T + noise_sigma * noise, v = xi[:, :n_coeffs],
+    with xi (n x n_modes) and then noise (n x grid_points) drawn in that
+    stream order.
+
+    xi is drawn and used in row blocks of at most GP_BLOCK_ROWS rows, so the
+    whole n x n_modes draw is never held; consecutive draws continue one
+    stream, so the coefficients are those of the whole draw. The blocks are
+    near-equal (edges at n * i // n_blocks): a short tail block can take
+    another BLAS path and move u in the last bit, which equal blocks avoid.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
     phi = gp_design_matrix(cfg)
-    xi = rng.standard_normal((n, cfg.n_modes))
-    noise = rng.standard_normal((n, cfg.grid_points))
-    u = xi @ phi.T + cfg.noise_sigma * noise
-    v = xi[:, : cfg.n_coeffs].copy()
+    u = np.empty((n, cfg.grid_points))
+    v = np.empty((n, cfg.n_coeffs))
+    n_blocks = -(-n // GP_BLOCK_ROWS)
+    for i in range(n_blocks):
+        lo, hi = n * i // n_blocks, n * (i + 1) // n_blocks
+        xi = rng.standard_normal((hi - lo, cfg.n_modes))
+        u[lo:hi] = xi @ phi.T
+        v[lo:hi] = xi[:, : cfg.n_coeffs]
+    u += cfg.noise_sigma * rng.standard_normal((n, cfg.grid_points))
     return PairedDataset(u=u, v=v)
 
 

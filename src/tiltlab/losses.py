@@ -393,12 +393,14 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
     -> similarity_vjp, reorganised so that no softmax matrix and no score
     cotangent is formed. The score table s = xu @ xv.T is walked in row
     tiles; each tile is exponentiated once, E = exp(s), and reduced on the
-    spot into E @ [e_v, 1] (row sums in the last column), E.T @ [e_u, 1]
-    (column sums) and, for the row softmax of cond, E.T @ ([e_u, 1] / z_row).
-    The column softmax of cond needs all column sums first, so it takes one
-    more skinny product over the kept table at the end. The score cotangent
-    ds, contracted with [e_v, 1] and [e_u, 1], is then a combination of
-    these sums, and the ones columns carry the row and column sums of ds
+    spot by one product on each side: E @ [e_v, 1] (row sums in the last
+    column), then E.T @ [e_u, 1 | [e_u, 1] / z_row], which holds the column
+    sums and, for the row softmax of cond, P_row.T @ [e_u, 1] (the second
+    half is left out when the row softmax has weight 0). The column softmax
+    of cond needs all column sums first, so it takes one more skinny
+    product over the kept table at the end. The score cotangent ds,
+    contracted with [e_v, 1] and [e_u, 1], is then a combination of these
+    sums, and the ones columns carry the row and column sums of ds
     that the l2_distance tilting needs. Under l2_distance the row bias
     -|u_i|^2/2tau and column bias -|v_j|^2/2tau ride in two extra columns
     of xu and xv.
@@ -408,7 +410,8 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
     and exponentiated with shifts: the row maximum for the row softmax, the
     column maximum for the column softmax, the global maximum for joint;
     shifted is then True. Non-finite scores raise ValueError, as in
-    similarity_matrix. ws caches the N x N table between calls.
+    similarity_matrix, without numpy's overflow warnings. ws caches the
+    N x N table between calls.
     """
     if kind.variant not in SOFTMAX_VARIANTS:
         raise ValueError(f"score_step covers {SOFTMAX_VARIANTS}, not {kind.variant!r}")
@@ -425,8 +428,13 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
     ones = np.ones((n, 1))
     eu1 = np.hstack([e_u, ones])
     ev1 = np.hstack([e_v, ones])
-    sq_u = np.sum(e_u**2, axis=1, keepdims=True)
-    sq_v = np.sum(e_v**2, axis=1, keepdims=True)
+    # overflow in the squares or score tiles (and inf - inf under
+    # l2_distance) leaves non-finite scores, which _score_range reports;
+    # numpy's warnings would only repeat it
+    quiet = {"over": "ignore", "invalid": "ignore"}
+    with np.errstate(**quiet):
+        sq_u = np.sum(e_u**2, axis=1, keepdims=True)
+        sq_v = np.sum(e_v**2, axis=1, keepdims=True)
     # Cauchy-Schwarz bound on |score|; the tiles need no range check below it
     norm_u, norm_v = np.sqrt(np.max(sq_u)), np.sqrt(np.max(sq_v))
     if tilting == TILTING_INNER:
@@ -443,20 +451,19 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
 
     diag = np.empty(n)
     row_ev = np.empty((n, k + 1))  # E @ [e_v, 1]
-    col_eu = np.zeros((n, k + 1))  # E.T @ [e_u, 1]
-    prow_eu = np.zeros((n, k + 1)) if need_prow else None  # P_row.T @ [e_u, 1]
-
-    def reduce_rows(e_row, e_col, lo, hi):
-        np.matmul(e_row, ev1, out=row_ev[lo:hi])
-        col_eu[:] += e_col.T @ eu1[lo:hi]
-        if need_prow:
-            prow_eu[:] += e_row.T @ (eu1[lo:hi] / row_ev[lo:hi, k:])
+    # E.T @ [e_u, 1] and, beside it when needed, P_row.T @ [e_u, 1]: each
+    # tile takes one product with [e_u, 1 | [e_u, 1] / z_row]
+    col_acc = np.zeros((n, 2 * (k + 1) if need_prow else k + 1))
+    col_eu = col_acc[:, : k + 1]
+    prow_eu = col_acc[:, k + 1 :]
+    rhs = np.hstack([eu1, eu1]) if need_prow else eu1
 
     shifted = False
     for lo in range(0, n, SCORE_BLOCK):
         hi = min(lo + SCORE_BLOCK, n)
         tile = table[lo:hi]
-        np.matmul(xu[lo:hi], xv.T, out=tile)
+        with np.errstate(**quiet):
+            np.matmul(xu[lo:hi], xv.T, out=tile)
         if check_tiles:
             low, high = _score_range(tile)
             if not (-EXP_LIMIT < low and high < EXP_LIMIT):
@@ -464,11 +471,15 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
                 break
         diag[lo:hi] = tile[:, lo:hi].diagonal()
         np.exp(tile, out=tile)
-        reduce_rows(tile, tile, lo, hi)
+        np.matmul(tile, ev1, out=row_ev[lo:hi])
+        if need_prow:
+            np.divide(eu1[lo:hi], row_ev[lo:hi, k:], out=rhs[lo:hi, k + 1 :])
+        col_acc += tile.T @ rhs[lo:hi]
     shift_row = shift_col = shift_all = 0.0
     e_col = table
     if shifted:
-        np.matmul(xu, xv.T, out=table)
+        with np.errstate(**quiet):
+            np.matmul(xu, xv.T, out=table)
         _, shift_all = _score_range(table)
         diag[:] = table.diagonal()
         if joint:
@@ -479,10 +490,10 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
             shift_row = np.max(table, axis=1)
             table -= shift_row[:, None]
         np.exp(table, out=table)
-        col_eu[:] = 0.0
+        np.matmul(table, ev1, out=row_ev)
+        col_eu[:] = e_col.T @ eu1
         if need_prow:
-            prow_eu[:] = 0.0
-        reduce_rows(table, e_col, 0, n)
+            prow_eu[:] = table.T @ (eu1 / row_ev[:, k:])
 
     z_row = row_ev[:, k]
     z_col = col_eu[:, k]

@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -484,6 +485,33 @@ class TestDivergence:
         assert rc == 1
         assert "runtime error in gaussian2d: epoch 0, step 0:" in err
         assert not (outdir / "report.json").exists()
+
+    @pytest.mark.parametrize("tilting", ["inner_product", "l2_distance"])
+    def test_overflowing_scores_exit_1_without_numpy_warnings(self, tmp_path, capsys, tilting):
+        # learning rate 1e300 puts weights near 1e300 after step 0, so step
+        # 1's squared embeddings and scores overflow; the non-finite score
+        # check names the step, and numpy's warnings would only repeat it
+        doc = {
+            "experiment": "gaussian2d",
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+            "sweep": {"sample_sizes": [256]},
+            "train": {
+                "epochs": 1,
+                "batch_size": 64,
+                "learning_rate": 1e300,
+                "tilting": tilting,
+                "loss": {"variant": "cond"},
+            },
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["run", write_config(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "runtime error in gaussian2d: epoch 0, step 1: non-finite similarity scores" in err
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
 
 class TestGaussianGp:

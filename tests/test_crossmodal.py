@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp, softmax
 
 from tiltlab import encoders
-from tiltlab.crossmodal import build_index, classify, recall_at_k, retrieve
+from tiltlab.crossmodal import build_index, classify, recall_at_k, retrieve, true_ranks
 from tiltlab.datagen import PairedDataset
 from tiltlab.errors import ZeroNormRow
 from tiltlab.losses import LossKind
@@ -104,25 +104,49 @@ def recall_at_k_loop(queries, truth_ids, index, k):
     return hits / len(truth) if truth else 0.0
 
 
+def true_ranks_loop(queries, truth_ids, index):
+    """Position of the first true row in a stable argsort of each query's
+    scores, the index size when no row carries the id."""
+    scores = np.atleast_2d(np.asarray(queries, dtype=np.float64)) @ index.items.T
+    ranks = []
+    for row, want in zip(scores, truth_ids):
+        order = np.argsort(-row, kind="stable")
+        ranks.append(next((r for r, i in enumerate(order) if index.ids[i] == want), len(order)))
+    return ranks
+
+
+def tie_case(case):
+    """(queries, truth, index): entries on a 0.5 grid in at most 3 dims make
+    many scores tie exactly; ids repeat, some truth ids are absent, and every
+    fourth case uses string ids."""
+    rng = SeededRng(50).split(case)
+    n = int(rng.split(0).integers(1, 30))
+    n_q = int(rng.split(1).integers(1, 30))
+    d = int(rng.split(2).integers(1, 4))
+    items = np.round(2.0 * rng.split(3).standard_normal((n, d))) / 2.0
+    queries = np.round(2.0 * rng.split(4).standard_normal((n_q, d))) / 2.0
+    ids = rng.split(5).integers(0, n // 2 + 1, n).tolist()
+    truth = rng.split(6).integers(0, n // 2 + 3, n_q).tolist()
+    if case % 4 == 0:
+        ids, truth = [f"id{i}" for i in ids], [f"id{i}" for i in truth]
+    return queries, truth, build_index(items, ids, normalized=False)
+
+
 class TestRecall:
     @pytest.mark.parametrize("case", range(40))
     def test_matches_argsort_loop(self, case):
-        # entries on a 0.5 grid in at most 3 dims make many scores tie
-        # exactly; ids repeat, some truth ids are absent, and every fourth
-        # case uses string ids
-        rng = SeededRng(50).split(case)
-        n = int(rng.split(0).integers(1, 30))
-        n_q = int(rng.split(1).integers(1, 30))
-        d = int(rng.split(2).integers(1, 4))
-        items = np.round(2.0 * rng.split(3).standard_normal((n, d))) / 2.0
-        queries = np.round(2.0 * rng.split(4).standard_normal((n_q, d))) / 2.0
-        ids = rng.split(5).integers(0, n // 2 + 1, n).tolist()
-        truth = rng.split(6).integers(0, n // 2 + 3, n_q).tolist()
-        if case % 4 == 0:
-            ids, truth = [f"id{i}" for i in ids], [f"id{i}" for i in truth]
-        idx = build_index(items, ids, normalized=False)
+        queries, truth, idx = tie_case(case)
+        n = len(idx.ids)
         for k in (1, 5, n, n + 10):
             assert recall_at_k(queries, truth, idx, k) == recall_at_k_loop(queries, truth, idx, k)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_true_ranks_match_argsort_loop_and_threshold_to_recall(self, case):
+        queries, truth, idx = tie_case(case)
+        ranks = true_ranks(queries, truth, idx)
+        assert ranks.tolist() == true_ranks_loop(queries, truth, idx)
+        for k in range(1, len(idx.ids) + 1):
+            assert recall_at_k(queries, truth, idx, k) == np.mean(ranks < k)
 
     def test_ties_resolve_to_the_smaller_row(self):
         items = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]

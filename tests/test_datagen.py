@@ -2,6 +2,7 @@
 torus flows with an independent finite-difference oracle, and IDX parsing."""
 
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,29 @@ class TestGpModality:
         phi = gp_design_matrix(cfg)
         coef = np.linalg.lstsq(ds.v, ds.u, rcond=None)[0]
         np.testing.assert_allclose(coef.T, phi[:, :2], atol=0.02)
+
+    @pytest.mark.parametrize("n", [1, 2 * datagen.GP_BLOCK_ROWS + 37])
+    def test_row_blocks_match_the_whole_draw(self, n):
+        # the reference holds the whole n x n_modes draw, then the noise,
+        # from one stream, as an unblocked generator would
+        cfg = GpConfig()
+        rng = SeededRng(5)
+        xi = rng.standard_normal((n, cfg.n_modes))
+        noise = rng.standard_normal((n, cfg.grid_points))
+        u_ref = xi @ gp_design_matrix(cfg).T + cfg.noise_sigma * noise
+        ds = gp_modality_pair(cfg, n, SeededRng(5))
+        np.testing.assert_array_equal(ds.v, xi[:, : cfg.n_coeffs])
+        assert np.max(np.abs(ds.u - u_ref)) <= 1e-14 * np.max(np.abs(u_ref))
+
+    def test_draw_never_holds_all_coefficients(self):
+        # the whole 20000 x 1000 draw alone would take 160 MB
+        tracemalloc.start()
+        try:
+            gp_modality_pair(GpConfig(), 20_000, SeededRng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

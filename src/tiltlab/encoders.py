@@ -100,7 +100,7 @@ class EncoderSpec:
         return tuple(table)
 
     def n_params(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.shape_table())
+        return sum(math.prod(shape) for _, shape in self.shape_table())
 
 
 def linear_spec(n_in: int, n_e: int, normalized: bool = False) -> EncoderSpec:
@@ -132,7 +132,7 @@ class EncoderParams:
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
-        total = sum(int(np.prod(s)) for _, s in self.shapes)
+        total = sum(math.prod(s) for _, s in self.shapes)
         if theta.size != total:
             raise ValueError(f"parameter vector length {theta.size}, shapes need {total}")
         if theta.size and not np.all(np.isfinite(theta)):
@@ -292,7 +292,9 @@ def encode_vjp(spec: EncoderSpec, params: EncoderParams, batch, cotangent) -> np
 
 def similarity_matrix(e_u, e_v, tilting: str, tau: float) -> np.ndarray:
     """Square score matrix s[i][j] = score(u_i, v_j) under a tilting.
-    inner_product: <e_u_i, e_v_j>/tau; l2_distance: -|e_u_i - e_v_j|^2 / (2 tau)."""
+    inner_product: <e_u_i, e_v_j>/tau; l2_distance: -|e_u_i - e_v_j|^2 / (2 tau).
+    One-column embeddings are padded (_blas_operands) so the product runs in
+    BLAS."""
     if tilting not in TILTINGS:
         raise ValueError(f"unknown tilting {tilting!r}")
     if not tau > 0:
@@ -302,13 +304,15 @@ def similarity_matrix(e_u, e_v, tilting: str, tau: float) -> np.ndarray:
     if e_u.ndim != 2 or e_v.ndim != 2 or e_u.shape != e_v.shape:
         raise ValueError(f"embedding shapes {e_u.shape} and {e_v.shape} must match")
     if tilting == TILTING_INNER:
-        s = e_u @ e_v.T
+        x, y = _blas_operands(e_u, e_v)
+        s = x @ y.T
         if tau != 1.0:
             s /= tau
     else:
         sq_u = np.sum(e_u**2, axis=1)[:, None]
         sq_v = np.sum(e_v**2, axis=1)[None, :]
-        s = -(sq_u + sq_v - 2.0 * e_u @ e_v.T) / (2.0 * tau)
+        x, y = _blas_operands(2.0 * e_u, e_v)
+        s = -(sq_u + sq_v - x @ y.T) / (2.0 * tau)
     _score_range(s)
     return s
 
@@ -320,6 +324,17 @@ def _score_range(scores: np.ndarray) -> tuple[float, float]:
     if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("non-finite similarity scores")
     return low, high
+
+
+def _blas_operands(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operands for x @ y.T that numpy's matmul sends to BLAS. It runs a
+    one-column inner dimension in its own loop, several times slower than a
+    gemm, so one-column operands each get a zero column appended: every entry
+    is still the one rounded product x_i y_j, plus an exact zero. Operands
+    with two or more columns come back unchanged."""
+    if x.shape[1] != 1:
+        return x, y
+    return np.hstack([x, np.zeros_like(x)]), np.hstack([y, np.zeros_like(y)])
 
 
 def similarity_vjp(e_u, e_v, tilting: str, tau: float, ds) -> tuple[np.ndarray, np.ndarray]:

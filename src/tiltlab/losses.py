@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import TILTING_INNER, TILTINGS, _score_range
+from .encoders import TILTING_INNER, TILTINGS, _blas_operands, _score_range
 
 KERNEL_FAMILIES = ("gaussian", "polynomial")
 SOFTMAX_VARIANTS = ("clip", "cond", "joint")
@@ -86,13 +86,16 @@ def kernel_gram(k: Kernel, x, y=None) -> np.ndarray:
     if x.shape[1] != y.shape[1]:
         raise ValueError("kernel inputs must share a dimension")
     if k.family == "polynomial":
+        x, y = _blas_operands(x, y)
         return (x @ y.T + k.offset) ** k.degree
     return np.exp(-_sq_dists(x, y) / (2.0 * k.bandwidth**2))
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|x_i - y_j|^2 as |x_i|^2 + |y_j|^2 - 2 x_i.y_j, clipped at 0."""
-    sq = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :] - 2.0 * x @ y.T
+    sq = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :]
+    x2, y = _blas_operands(2.0 * x, y)
+    sq -= x2 @ y.T
     return np.clip(sq, 0.0, None, out=sq)
 
 
@@ -302,8 +305,9 @@ def _joint_kernel_terms(k: Kernel, u: np.ndarray, v: np.ndarray):
     and for the polynomial the binomial expansion of (u.u' + (v.v' + c))^d."""
     if k.family == "gaussian":
         return [(1.0, kernel_gram(k, u), kernel_gram(k, v))]
-    uu = u @ u.T
-    vv = v @ v.T + k.offset
+    pu, pv = _blas_operands(u, u)[0], _blas_operands(v, v)[0]
+    uu = pu @ pu.T
+    vv = pv @ pv.T + k.offset
     return [(math.comb(k.degree, j), uu**j, vv ** (k.degree - j)) for j in range(k.degree + 1)]
 
 
@@ -403,7 +407,8 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
     sums, and the ones columns carry the row and column sums of ds
     that the l2_distance tilting needs. Under l2_distance the row bias
     -|u_i|^2/2tau and column bias -|v_j|^2/2tau ride in two extra columns
-    of xu and xv.
+    of xu and xv; under inner_product one-column embeddings are padded
+    with a zero column (_blas_operands) so the tiles run in BLAS.
 
     The exps run unshifted while every score lies in (-EXP_LIMIT,
     EXP_LIMIT). Once a tile leaves that range the whole table is recomputed
@@ -438,7 +443,7 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
     # Cauchy-Schwarz bound on |score|; the tiles need no range check below it
     norm_u, norm_v = np.sqrt(np.max(sq_u)), np.sqrt(np.max(sq_v))
     if tilting == TILTING_INNER:
-        xu, xv = e_u / tau, e_v
+        xu, xv = _blas_operands(e_u / tau, e_v)
         bound = norm_u * norm_v / tau
     else:
         xu = np.hstack([e_u / tau, sq_u / (-2.0 * tau), ones])

@@ -401,6 +401,28 @@ class TestSimilarity:
         l2 = similarity_matrix(e_u, e_v, "l2_distance", 1.0)
         np.testing.assert_allclose(l2, inner - 1.0, atol=1e-12)
 
+    def test_one_column_scores_are_bitwise_outer_products(self):
+        # one-column products are padded to run in BLAS; the zero column
+        # must leave every bit of the score where the plain product puts it
+        rng = SeededRng(54)
+        e_u = rng.split(0).standard_normal((300, 1))
+        e_v = rng.split(1).standard_normal((300, 1))
+        u, v = e_u[:, 0], e_v[:, 0]
+        inner = similarity_matrix(e_u, e_v, "inner_product", 0.7)
+        want = np.multiply.outer(u, v) / 0.7
+        np.testing.assert_array_equal(inner.view(np.int64), want.view(np.int64))
+        l2 = similarity_matrix(e_u, e_v, "l2_distance", 0.7)
+        want = -((u**2)[:, None] + (v**2)[None, :] - np.multiply.outer(2.0 * u, v)) / 1.4
+        np.testing.assert_array_equal(l2.view(np.int64), want.view(np.int64))
+
+    def test_blas_operands_pads_one_column_only(self):
+        x, y = np.arange(6.0).reshape(3, 2), np.ones((4, 2))
+        px, py = encoders._blas_operands(x, y)
+        assert px is x and py is y
+        px, py = encoders._blas_operands(x[:, :1], y[:, :1])
+        np.testing.assert_array_equal(px, np.hstack([x[:, :1], np.zeros((3, 1))]))
+        np.testing.assert_array_equal(py, np.hstack([y[:, :1], np.zeros((4, 1))]))
+
     def test_validation(self):
         ones = np.ones((2, 2))
         with pytest.raises(ValueError):

@@ -151,6 +151,20 @@ class TestKernels:
             for j in range(3):
                 assert abs(gram[i, j] - (x[i] @ x[j] + 0.5) ** 3) < 1e-12
 
+    def test_one_column_grams_are_bitwise_outer_products(self):
+        # one-column products are padded to run in BLAS; the zero column
+        # must leave every bit where the plain product puts it
+        rng = SeededRng(12)
+        x = rng.split(0).standard_normal((300, 1))
+        y = rng.split(1).standard_normal((170, 1))
+        a, b = x[:, 0], y[:, 0]
+        sq = losses._sq_dists(x, y)
+        want = np.clip((a**2)[:, None] + (b**2)[None, :] - np.multiply.outer(2.0 * a, b), 0.0, None)
+        np.testing.assert_array_equal(sq.view(np.int64), want.view(np.int64))
+        gram = losses.kernel_gram(Kernel("polynomial", degree=2, offset=0.5), x, y)
+        want = (np.multiply.outer(a, b) + 0.5) ** 2
+        np.testing.assert_array_equal(gram.view(np.int64), want.view(np.int64))
+
     def test_gaussian_diagonal_is_one(self):
         x = SeededRng(11).standard_normal((6, 2))
         gram = losses.kernel_gram(Kernel("gaussian"), x)
@@ -520,6 +534,13 @@ def unit_rows(seed, n, n_e):
     return e / np.linalg.norm(e, axis=2, keepdims=True)
 
 
+def embedding_rows(seed, n, n_e):
+    """Unit rows, or raw normal rows at n_e = 1, where unit rows are all +-1."""
+    if n_e == 1:
+        return SeededRng(seed).standard_normal((2, n, 1))
+    return unit_rows(seed, n, n_e)
+
+
 SOFTMAX_KINDS = [LossKind("clip"), LossKind("cond", 1.3, 0.6), LossKind("joint")]
 BLOCK = losses.SCORE_BLOCK
 
@@ -527,14 +548,23 @@ BLOCK = losses.SCORE_BLOCK
 class TestScoreStep:
     """The tiled kernel against the generic chain it replaces in training."""
 
-    @pytest.mark.parametrize("n", [2, BLOCK - 1, 2 * BLOCK + 37])
+    # n_e = 1 is the width of every Gaussian experiment, where the score
+    # products take the zero-padded BLAS path
+    @pytest.mark.parametrize(
+        "n, n_e",
+        [
+            pytest.param(n, n_e, id=str(n) if n_e == 3 else f"{n}-ne1")
+            for n_e in (3, 1)
+            for n in (2, BLOCK - 1, 2 * BLOCK + 37)
+        ],
+    )
     @pytest.mark.parametrize("tilting", ["inner_product", "l2_distance"])
     @pytest.mark.parametrize("kind", SOFTMAX_KINDS, ids=lambda k: k.variant)
     @pytest.mark.parametrize("tau", [0.7, 1e-3])
-    def test_matches_generic_chain(self, kind, tilting, n, tau):
-        # at tau = 1e-3 the unit-norm embeddings score up to about +-1000,
-        # which takes the shifted exp; compare relative to the largest entry
-        e_u, e_v = unit_rows(n, n, 3)
+    def test_matches_generic_chain(self, kind, tilting, n, n_e, tau):
+        # at tau = 1e-3 the embeddings score up to +-1000 and beyond, which
+        # takes the shifted exp; compare relative to the largest entry
+        e_u, e_v = embedding_rows(n, n, n_e)
         value, cot_u, cot_v, shifted = losses.score_step(kind, e_u, e_v, tilting, tau, {})
         want_value, want_u, want_v = generic_chain(kind, e_u, e_v, tilting, tau)
         scale = max(1.0, abs(want_value), np.abs(want_u).max(), np.abs(want_v).max())
@@ -546,13 +576,20 @@ class TestScoreStep:
         if tau == 1e-3 and n > 2:
             assert shifted
 
-    @pytest.mark.parametrize("tilting", ["inner_product", "l2_distance"])
+    @pytest.mark.parametrize(
+        "tilting, n_e",
+        [
+            pytest.param(tilting, n_e, id=tilting if n_e == 2 else f"{tilting}-ne1")
+            for n_e in (2, 1)
+            for tilting in ("inner_product", "l2_distance")
+        ],
+    )
     @pytest.mark.parametrize(
         "kind", [*SOFTMAX_KINDS, LossKind("cond", 0.0, 2.0), LossKind("cond", 2.0, 0.0)],
         ids=lambda k: f"{k.variant}-{k.lam_u}-{k.lam_v}",
     )
-    def test_cotangents_match_central_differences(self, kind, tilting):
-        e_u, e_v = unit_rows(11, 2 * BLOCK + 5, 2)
+    def test_cotangents_match_central_differences(self, kind, tilting, n_e):
+        e_u, e_v = embedding_rows(11, 2 * BLOCK + 5, n_e)
         e_u, e_v = 2.0 * e_u, 2.0 * e_v
         tau, step = 0.7, 1e-5
         _, cot_u, cot_v, _ = losses.score_step(kind, e_u, e_v, tilting, tau, {})

@@ -288,12 +288,20 @@ def _fit_linear_tilt(plan: RunPlan, data, n_e: int, tag: int, batch_size: int):
     return gaussian.linear_encoder_tilting(g_mat, h_mat, cfg.tilting, cfg.tau), history
 
 
+def _closed_tilts(g: gaussian.BlockGaussian) -> dict:
+    """The cond, joint and one-sided quadratic minimizers of g, as tiltings."""
+    return {
+        "cond": gaussian.CosineLinear(gaussian.minimizer_cond(g)),
+        "joint": gaussian.CosineLinear(gaussian.minimizer_joint(g)),
+        "quad": gaussian.minimizer_quadratic_onesided(g),
+    }
+
+
 def _run_closed_form(plan: RunPlan):
     g = plan.blocks
     cond = gaussian.conditional_u_given_v(g)
-    a_cond = gaussian.minimizer_cond(g)
-    quad = gaussian.minimizer_quadratic_onesided(g)
-    a_joint = gaussian.minimizer_joint(g)
+    closed = _closed_tilts(g)
+    a_cond, a_joint, quad = closed["cond"].a, closed["joint"].a, closed["quad"]
     quad_cond = gaussian.model_conditional(quad, "u_given_v", g)
     sing = gaussian._whitened_svd(g, None)[2]
     tables = {
@@ -329,12 +337,7 @@ def _gaussian_density(cov: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _run_gaussian2d(plan: RunPlan):
     g = plan.blocks
-    quad = gaussian.minimizer_quadratic_onesided(g)
-    closed = {
-        "cond": gaussian.CosineLinear(gaussian.minimizer_cond(g)),
-        "joint": gaussian.CosineLinear(gaussian.minimizer_joint(g)),
-        "quad": quad,
-    }
+    closed = _closed_tilts(g)
     rows = []
     for name, tilt in closed.items():
         cm = gaussian.model_conditional(tilt, "u_given_v", g)
@@ -363,8 +366,8 @@ def _run_gaussian2d(plan: RunPlan):
     results = {
         "a_cond": float(closed["cond"].a[0, 0]),
         "a_joint": float(closed["joint"].a[0, 0]),
-        "a_quad": float(quad.a[0, 0]),
-        "b_quad": float(quad.b[0, 0]),
+        "a_quad": float(closed["quad"].a[0, 0]),
+        "b_quad": float(closed["quad"].b[0, 0]),
         "a_trained": a_trained,
         "final_epoch_loss": history.losses[-1],
         "trained_target": None if oracle is None else oracle.__name__,

@@ -12,8 +12,10 @@ exp(u^T A v) produces model conditionals N(C_uu A v, C_uu); the quadratic
 tilting exp(-u^T B u / 2 + u^T A v - v^T C v / 2) produces
 N((B + C_uu^{-1})^{-1} A v, (B + C_uu^{-1})^{-1}), and symmetrically for v
 given u. The whitened cross-covariance C_uu^{-1/2} C_uv C_vv^{-1/2} and its
-SVD govern every minimizer below: minimizer_joint and
-minimizer_quadratic_onesided are spectral maps of the one SVD, _whitened_svd.
+SVD govern every minimizer below. All three are spectral maps of the one SVD,
+_whitened_svd, with the trailing singular values dropped under a rank
+budget: minimizer_cond keeps each singular value s, minimizer_joint shrinks
+it to h(s) and minimizer_quadratic_onesided maps it to s / (1 - s^2).
 
 Trained linear encoders meet these formulas through linear_encoder_tilting,
 the tilting their weights define, and trained_tilt_oracle, the minimizer
@@ -35,7 +37,6 @@ from .linalg import (
     inv_pd,
     inv_sym_sqrt,
     logdet_pd,
-    rank_truncate,
     solve_pd,
     sym_sqrt,
 )
@@ -80,9 +81,7 @@ class BlockGaussian:
         return self.c_uv.T
 
     def joint(self) -> np.ndarray:
-        top = np.hstack([self.c_uu, self.c_uv])
-        bottom = np.hstack([self.c_uv.T, self.c_vv])
-        return np.vstack([top, bottom])
+        return np.block([[self.c_uu, self.c_uv], [self.c_uv.T, self.c_vv]])
 
     def swapped(self) -> "BlockGaussian":
         """The same joint with the roles of u and v exchanged."""
@@ -164,14 +163,13 @@ def joint_loss_closed(a: np.ndarray, g: BlockGaussian) -> float:
 def minimizer_cond(g: BlockGaussian, r: int | None = None) -> np.ndarray:
     """Minimizer of the conditional loss for the linear tilting.
 
-    Unconstrained: C_uu^{-1} C_uv C_vv^{-1}. With a rank budget r, the
-    whitened cross-covariance is SVD-truncated before unwhitening.
+    The identity spectral map: unwhiten the whitened cross-covariance
+    itself, C_uu^{-1/2} U diag(s) V^T C_vv^{-1/2}. Without a budget this is
+    C_uu^{-1} C_uv C_vv^{-1}; a rank budget r keeps the r leading singular
+    values, the best rank-r approximation in the whitened metric.
     """
-    if r is None:
-        return solve_pd(g.c_uu, solve_pd(g.c_vv, g.c_uv.T).T)
-    r = _check_rank(r, g)
-    ru, w, rv = _whitened(g)
-    return ru @ rank_truncate(w, r) @ rv
+    ru, u, s, vt, rv = _whitened_svd(g, r)
+    return ru @ (u * s) @ vt @ rv
 
 
 def shrinkage_h(sigma):
@@ -188,9 +186,7 @@ def shrinkage_h(sigma):
         raise ValueError("shrinkage_h is defined on [0, 1]")
     clipped = np.clip(arr, 0.0, 1.0)
     out = 2.0 * clipped / (1.0 + np.sqrt(1.0 + 4.0 * clipped**2))
-    if np.isscalar(sigma) or arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def minimizer_joint(g: BlockGaussian, r: int | None = None) -> np.ndarray:
@@ -261,43 +257,24 @@ def model_conditional(tilting, side: str, g: BlockGaussian) -> GaussianCondition
     """
     if side not in ("u_given_v", "v_given_u"):
         raise ValueError(f"unknown side {side!r}")
+    if not isinstance(tilting, (CosineLinear, QuadraticTiltingParams)):
+        raise TypeError(f"unsupported tilting {type(tilting).__name__}")
+    a = _check_a(tilting.a, g)
+    c_own, gain_a = (g.c_uu, a) if side == "u_given_v" else (g.c_vv, a.T)
     if isinstance(tilting, CosineLinear):
-        a = _check_a(tilting.a, g)
-        if side == "u_given_v":
-            return GaussianConditionalMap(gain=g.c_uu @ a, cov=g.c_uu.copy())
-        return GaussianConditionalMap(gain=g.c_vv @ a.T, cov=g.c_vv.copy())
-    if isinstance(tilting, QuadraticTiltingParams):
-        a = _check_a(tilting.a, g)
-        if side == "u_given_v":
-            prec = check_symmetric(tilting.b) + inv_pd(g.c_uu)
-            cov = inv_pd(0.5 * (prec + prec.T))
-            return GaussianConditionalMap(gain=cov @ a, cov=cov)
-        prec = check_symmetric(tilting.c) + inv_pd(g.c_vv)
-        cov = inv_pd(0.5 * (prec + prec.T))
-        return GaussianConditionalMap(gain=cov @ a.T, cov=cov)
-    raise TypeError(f"unsupported tilting {type(tilting).__name__}")
+        return GaussianConditionalMap(gain=c_own @ gain_a, cov=c_own.copy())
+    prec = check_symmetric(tilting.b if side == "u_given_v" else tilting.c) + inv_pd(c_own)
+    cov = inv_pd(0.5 * (prec + prec.T))
+    return GaussianConditionalMap(gain=cov @ gain_a, cov=cov)
 
 
 def model_marginal_u(a: np.ndarray, g: BlockGaussian) -> np.ndarray:
-    """Marginal covariance of u under the linear-tilting model joint.
-
-    The model precision matrix is [[C_uu^{-1}, -a], [-a^T, C_vv^{-1}]]; its
-    u-marginal covariance is (C_uu^{-1} - a C_vv a^T)^{-1}, equivalently the
-    Woodbury form C_uu + C_uu a (C_vv^{-1} - a^T C_uu a)^{-1} a^T C_uu.
-    Exists iff C_vv^{-1} - a^T C_uu a is PD (same condition as the joint
-    normalizer).
+    """Marginal covariance of u under the linear-tilting model joint: the u
+    block of model_joint, (C_uu^{-1} - a C_vv a^T)^{-1}. Raises
+    DivergentNormalizer when C_vv^{-1} - a^T C_uu a, the Schur complement
+    of the block precision, is not PD (the joint normalizer's condition).
     """
-    a = _check_a(a, g)
-    inner = inv_pd(g.c_vv) - a.T @ g.c_uu @ a
-    inner = 0.5 * (inner + inner.T)
-    try:
-        cholesky_pd(inner)
-    except NotPositiveDefinite as exc:
-        raise DivergentNormalizer(
-            "model marginal undefined: C_vv^{-1} - a^T C_uu a is not PD"
-        ) from exc
-    out = g.c_uu + g.c_uu @ a @ solve_pd(inner, a.T @ g.c_uu)
-    return 0.5 * (out + out.T)
+    return model_joint(CosineLinear(a), g)[: g.n_x, : g.n_x]
 
 
 def model_joint(tilting, g: BlockGaussian) -> np.ndarray:
@@ -314,9 +291,7 @@ def model_joint(tilting, g: BlockGaussian) -> np.ndarray:
     else:
         raise TypeError(f"unsupported tilting {type(tilting).__name__}")
     a = _check_a(a, g)
-    top = np.hstack([b + inv_pd(g.c_uu), -a])
-    bottom = np.hstack([-a.T, c + inv_pd(g.c_vv)])
-    prec = np.vstack([top, bottom])
+    prec = np.block([[b + inv_pd(g.c_uu), -a], [-a.T, c + inv_pd(g.c_vv)]])
     prec = 0.5 * (prec + prec.T)
     try:
         return inv_pd(prec)
@@ -437,17 +412,12 @@ def _check_a(a, g: BlockGaussian) -> np.ndarray:
     return a
 
 
-def _whitened(g: BlockGaussian):
-    """(C_uu^{-1/2}, C_uu^{-1/2} C_uv C_vv^{-1/2}, C_vv^{-1/2})."""
-    ru, rv = inv_sym_sqrt(g.c_uu), inv_sym_sqrt(g.c_vv)
-    return ru, ru @ g.c_uv @ rv, rv
-
-
 def _whitened_svd(g: BlockGaussian, r: int | None):
     """(C_uu^{-1/2}, U, s, V^T, C_vv^{-1/2}), U diag(s) V^T the thin SVD of the
-    whitened cross-covariance with every singular value past the r-th zeroed."""
-    ru, w, rv = _whitened(g)
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    whitened cross-covariance C_uu^{-1/2} C_uv C_vv^{-1/2} with every singular
+    value past the r-th zeroed."""
+    ru, rv = inv_sym_sqrt(g.c_uu), inv_sym_sqrt(g.c_vv)
+    u, s, vt = np.linalg.svd(ru @ g.c_uv @ rv, full_matrices=False)
     if r is not None:
         s = np.where(np.arange(s.size) < _check_rank(r, g), s, 0.0)
     return ru, u, s, vt, rv

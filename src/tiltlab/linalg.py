@@ -2,7 +2,7 @@
 
 Matrices are plain float64 numpy arrays. Symmetric positive definiteness is
 always established by attempting a Cholesky factorization; eigendecompositions
-are used only where square roots or truncations require them. All computation
+are used only where square roots require them. All computation
 is 64-bit and deterministic.
 """
 
@@ -81,24 +81,6 @@ def inv_sym_sqrt(m: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} is not positive")
     root = (q / np.sqrt(w)) @ q.T
     return 0.5 * (root + root.T)
-
-
-def rank_truncate(m: np.ndarray, r: int) -> np.ndarray:
-    """Best rank-r approximation in Frobenius norm (SVD truncation).
-
-    Keeps the r largest singular values in SVD order, which resolves
-    ties between equal singular values toward the earlier index.
-    """
-    m = as_matrix(m)
-    r = int(r)
-    if not 0 <= r <= min(m.shape):
-        raise ValueError(f"rank {r} out of range for shape {m.shape}")
-    if r == min(m.shape):
-        return m.copy()
-    if r == 0:
-        return np.zeros_like(m)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return (u[:, :r] * s[:r]) @ vt[:r, :]
 
 
 def logdet_pd(m: np.ndarray) -> float:

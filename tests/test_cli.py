@@ -326,6 +326,44 @@ class TestClosedForm:
         assert res["whitened_singular_values"] == pytest.approx([2 / 3], abs=1e-12)
         assert res["shrunk_singular_values"] == pytest.approx([0.5], abs=1e-12)
 
+    def test_report_on_2x3_blocks_matches_numpy_forms(self, tmp_path):
+        c_uu = np.array([[2.0, 0.3], [0.3, 1.0]])
+        c_uv = np.array([[0.5, 0.2, 0.1], [0.1, -0.4, 0.2]])
+        c_vv = np.array([[1.0, 0.0, 0.2], [0.0, 1.5, 0.1], [0.2, 0.1, 1.2]])
+        doc = closed_form_doc(tmp_path / "out")
+        doc["gaussian"] = {"c_uu": c_uu.tolist(), "c_uv": c_uv.tolist(), "c_vv": c_vv.tolist()}
+        outdir, _ = self.run(tmp_path, doc)
+        res = read_report(outdir)["results"]
+
+        def inv_sqrt(c):
+            w, q = np.linalg.eigh(c)
+            return (q / np.sqrt(w)) @ q.T
+
+        def woodbury_marginal(a):
+            inner = np.linalg.inv(c_vv) - a.T @ c_uu @ a
+            return c_uu + c_uu @ a @ np.linalg.solve(inner, a.T @ c_uu)
+
+        ru, rv = inv_sqrt(c_uu), inv_sqrt(c_vv)
+        u, s, vt = np.linalg.svd(ru @ c_uv @ rv, full_matrices=False)
+        h = (np.sqrt(1.0 + 4.0 * s**2) - 1.0) / (2.0 * s)
+        c_vv_inv_vu = np.linalg.solve(c_vv, c_uv.T)
+        schur = c_uu - c_uv @ c_vv_inv_vu
+        a_cond = np.linalg.solve(c_uu, c_vv_inv_vu.T)
+        a_joint = ru @ (u * h) @ vt @ rv
+        want = {
+            "a_cond": a_cond,
+            "a_joint": a_joint,
+            "a_quad": np.linalg.solve(schur, c_vv_inv_vu.T),
+            "b_quad": np.linalg.inv(schur) - np.linalg.inv(c_uu),
+            "marginal_model_cond": woodbury_marginal(a_cond),
+            "marginal_model_joint": woodbury_marginal(a_joint),
+        }
+        for name, m in want.items():
+            got = matrix_value(res, name)
+            assert got.shape == m.shape, name
+            assert np.max(np.abs(got - m)) <= 1e-13 * np.max(np.abs(m)), name
+        assert res["whitened_singular_values"] == pytest.approx(s.tolist(), rel=1e-13)
+
     def test_config_hash_matches_echo(self, tmp_path):
         outdir, doc = self.run(tmp_path)
         report = read_report(outdir)

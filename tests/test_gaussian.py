@@ -40,6 +40,20 @@ def random_blocks(seed, n_x=None, n_y=None):
     return gaussian.BlockGaussian(cov[:n_x, :n_x], cov[:n_x, n_x:], cov[n_x:, n_x:])
 
 
+def truncated_svd(m, r):
+    """Best rank-r approximation of m in Frobenius norm (Eckart-Young)."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return (u[:, :r] * s[:r]) @ vt[:r]
+
+
+def minimizer_arrays(name, g, r=None):
+    """The arrays of the cond, joint or quad minimizer at rank budget r."""
+    if name == "quad":
+        q = gaussian.minimizer_quadratic_onesided(g, r=r)
+        return q.a, q.b
+    return (getattr(gaussian, f"minimizer_{name}")(g, r=r),)
+
+
 class TestBlockGaussian:
     def test_joint_assembly(self):
         g = random_blocks(0, 2, 3)
@@ -129,12 +143,15 @@ class TestCondLoss:
             # best rank-r approximation in the whitened metric
             w = linalg.sym_sqrt(g.c_uu) @ full @ linalg.sym_sqrt(g.c_vv)
             w_r = linalg.sym_sqrt(g.c_uu) @ a_r @ linalg.sym_sqrt(g.c_vv)
-            np.testing.assert_allclose(w_r, linalg.rank_truncate(w, r), atol=1e-10)
+            np.testing.assert_allclose(w_r, truncated_svd(w, r), atol=1e-10)
 
-    def test_rank_cap_validation(self):
-        g = random_blocks(8, 2, 3)
-        with pytest.raises(ValueError):
-            gaussian.minimizer_cond(g, r=3)
+    def test_matches_the_solved_form(self):
+        # C_uu^{-1} C_uv C_vv^{-1}, solved here, against the spectral map
+        for seed in range(50):
+            g = random_blocks(seed + 200)
+            want = np.linalg.solve(g.c_uu, np.linalg.solve(g.c_vv, g.c_uv.T).T)
+            err = np.max(np.abs(gaussian.minimizer_cond(g) - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), seed
 
     def test_shape_mismatch(self):
         g = random_blocks(9, 2, 3)
@@ -187,7 +204,7 @@ class TestJointLoss:
         for r in range(4):
             a_r = gaussian.minimizer_joint(g, r=r)
             w_r = linalg.sym_sqrt(g.c_uu) @ a_r @ linalg.sym_sqrt(g.c_vv)
-            np.testing.assert_allclose(w_r, linalg.rank_truncate(w_full, r), atol=1e-9)
+            np.testing.assert_allclose(w_r, truncated_svd(w_full, r), atol=1e-9)
 
 
 class TestShrinkage:
@@ -412,7 +429,7 @@ class TestQuadraticMinimizer:
         b = 0.5 * (gm.T @ gm + (gm.T @ gm).T)
         m_sqrt = linalg.sym_sqrt(b + c_uu_inv)
         rv = linalg.inv_sym_sqrt(g.c_vv)
-        a = m_sqrt @ linalg.rank_truncate(m_sqrt @ g.c_uv @ rv, r) @ rv
+        a = m_sqrt @ truncated_svd(m_sqrt @ g.c_uv @ rv, r) @ rv
         return a, b
 
     @pytest.mark.parametrize("seed, r", [(27, 1), (28, 2)])
@@ -453,6 +470,29 @@ class TestQuadraticMinimizer:
         assert np.all(q.b == 0.0)
 
 
+class TestRankBudget:
+    @pytest.mark.parametrize("name", ["cond", "joint", "quad"])
+    def test_rank_cap_is_bitwise_the_unconstrained_minimizer(self, name):
+        for seed in range(50):
+            g = random_blocks(seed + 100)
+            cap = min(g.n_x, g.n_y)
+            for capped, free in zip(minimizer_arrays(name, g, cap), minimizer_arrays(name, g)):
+                assert np.array_equal(capped, free), seed
+
+    @pytest.mark.parametrize("name", ["cond", "joint", "quad"])
+    def test_rank_zero_is_the_zero_matrix(self, name):
+        g = random_blocks(150, 3, 2)
+        for m in minimizer_arrays(name, g, 0):
+            assert np.array_equal(m, np.zeros_like(m))
+
+    @pytest.mark.parametrize("name", ["cond", "joint", "quad"])
+    @pytest.mark.parametrize("r", [-1, 3])
+    def test_rank_out_of_range_rejected(self, name, r):
+        g = random_blocks(151, 2, 3)
+        with pytest.raises(ValueError):
+            minimizer_arrays(name, g, r)
+
+
 class TestModelDistributions:
     def test_cosine_model_conditional_shapes(self):
         g = random_blocks(30, 2, 3)
@@ -481,11 +521,24 @@ class TestModelDistributions:
         m = gaussian.model_marginal_u(np.zeros((3, 2)), g)
         np.testing.assert_allclose(m, g.c_uu, atol=1e-12)
 
-    def test_model_joint_u_block_is_model_marginal(self):
-        g = random_blocks(32, 2, 2)
-        a = 0.2 * SeededRng(32).standard_normal((2, 2))
-        joint = gaussian.model_joint(gaussian.CosineLinear(a), g)
-        np.testing.assert_allclose(joint[:2, :2], gaussian.model_marginal_u(a, g), atol=1e-10)
+    def test_marginal_matches_the_woodbury_form(self):
+        # C_uu + C_uu a (C_vv^{-1} - a^T C_uu a)^{-1} a^T C_uu, written here
+        for seed in range(20):
+            g = random_blocks(seed + 40)
+            for a in (gaussian.minimizer_cond(g), gaussian.minimizer_joint(g)):
+                inner = np.linalg.inv(g.c_vv) - a.T @ g.c_uu @ a
+                want = g.c_uu + g.c_uu @ a @ np.linalg.solve(inner, a.T @ g.c_uu)
+                err = np.max(np.abs(gaussian.model_marginal_u(a, g) - want))
+                assert err <= 1e-12 * np.max(np.abs(want)), seed
+
+    def test_non_normalizable_marginal_raises(self):
+        # whitened tilt 1.2 * I: C_vv^{-1} - a^T C_uu a has a negative eigenvalue
+        g = random_blocks(32, 2, 3)
+        a = linalg.inv_sym_sqrt(g.c_uu) @ (1.2 * np.eye(2, 3)) @ linalg.inv_sym_sqrt(g.c_vv)
+        with pytest.raises(DivergentNormalizer):
+            gaussian.model_marginal_u(a, g)
+        with pytest.raises(DivergentNormalizer):
+            gaussian.model_marginal_u(np.array([[0.7]]), reference())
 
     def test_model_joint_pd(self):
         g = random_blocks(33, 2, 3)

@@ -71,28 +71,6 @@ class TestMatrixSqrt:
         np.testing.assert_allclose(linalg.sym_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
 
 
-class TestRankTruncate:
-    def test_truncation_is_best_in_frobenius(self):
-        # Eckart-Young: compare against the partial SVD sum
-        m = SeededRng(11).standard_normal((5, 4))
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        for r in range(5):
-            want = (u[:, :r] * s[:r]) @ vt[:r]
-            np.testing.assert_allclose(linalg.rank_truncate(m, r), want, atol=1e-12)
-
-    def test_full_rank_is_identity(self):
-        m = SeededRng(12).standard_normal((3, 5))
-        np.testing.assert_allclose(linalg.rank_truncate(m, 3), m, atol=1e-12)
-
-    def test_rank_zero(self):
-        m = SeededRng(13).standard_normal((3, 3))
-        assert np.all(linalg.rank_truncate(m, 0) == 0.0)
-
-    def test_negative_rank_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.rank_truncate(np.eye(2), -1)
-
-
 class TestCholSample:
     def test_moments(self):
         mean = np.array([1.0, -2.0])

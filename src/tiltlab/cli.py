@@ -436,13 +436,20 @@ def _run_mnist(plan: RunPlan):
     spec_v = encoders.mlp_spec([images.shape[1], plan.hidden, 10], activation="relu")
     init_u = encoders.init_params(spec_u, SeededRng(plan.seed).split(10, 1))
     init_v = encoders.init_params(spec_v, SeededRng(plan.seed).split(10, 0))
+    # label scores are logits / tau + log pi, pi the training label counts
+    # (the batch prior the (2, 0) loss trains the logits against); accuracy
+    # takes their argmax and label_probs their softmax
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(np.bincount(labels, minlength=10) / labels.size)
+
+    def label_scores(params_v, chunk):
+        return encoders.encode(spec_v, params_v, chunk) / plan.train.tau + log_pi
 
     def accuracy(params_v) -> float:
         correct = 0
         for start in range(0, test_images.shape[0], 1024):
-            chunk = test_images[start : start + 1024]
-            logits = encoders.encode(spec_v, params_v, chunk)
-            correct += int(np.sum(np.argmax(logits, axis=1) == test_labels[start : start + 1024]))
+            scores = label_scores(params_v, test_images[start : start + 1024])
+            correct += int(np.sum(np.argmax(scores, axis=1) == test_labels[start : start + 1024]))
         return correct / test_images.shape[0]
 
     def probe(epoch, pu, pv):
@@ -453,11 +460,7 @@ def _run_mnist(plan: RunPlan):
     )
     artifacts = [_write_csv(plan, "accuracy", *history.table())]
 
-    logits = encoders.encode(spec_v, params_v, test_images[:20]) / plan.train.tau
-    counts = np.bincount(labels, minlength=10)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(counts / labels.size)
-    probs = losses._axis_lse_softmax(logits + log_pi, 1)[1]
+    probs = losses._axis_lse_softmax(label_scores(params_v, test_images[:20]), 1)[1]
     prob_rows = [
         (i, int(test_labels[i]), *[float(p) for p in probs[i]]) for i in range(probs.shape[0])
     ]

@@ -13,7 +13,7 @@ K classes is one training.train call under LossKind("cond", 2.0, 0.0):
           of indices i
 The logits are [e_i, 1] W / tau, so the ones column carries the per-class
 bias, and the (2, 0) conditional loss is their cross-entropy under the
-batch label prior. Predict argmax_c of [e, 1] W.
+batch label prior pi. Predict argmax_c of [e, 1] W / tau + log pi_c.
 """
 
 from __future__ import annotations

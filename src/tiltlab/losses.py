@@ -4,18 +4,17 @@ Index convention throughout: s[i][j] is the tilting score of (u^i, v^j), so
 column i collects every u candidate for the conditioning sample v^i and row
 i collects every v candidate for u^i.
 
-Two paths compute the softmax-family losses (clip, cond, joint), and both
-call the one value formula per loss (_clip_value, _cond_value,
-_joint_value):
-  score_step           the training kernel: value and embedding cotangents
-                       straight from the embeddings, by row tiles of the
-                       score table, for both tiltings. It reports whether
-                       the scores forced its shifted exp; training counts
-                       those steps per epoch.
-  loss_value_and_grad  the generic chain on an explicit score matrix (with
-                       similarity_matrix and similarity_vjp). It is the
-                       oracle the kernel is tested against, and the only
-                       path of the two MMD losses.
+score_step is the one loss call of a training step. It takes one of two
+paths, and both call the one value formula per loss (_clip_value,
+_cond_value, _joint_value):
+  the tiled kernel  clip, cond and joint while every score stays in the
+                    unshifted exp range, straight from the embeddings by
+                    row tiles of the score table, for both tiltings;
+  _chain_step       similarity_matrix -> loss_value_and_grad ->
+                    similarity_vjp on an explicit score matrix, shifts taken
+                    in _axis_lse_softmax: the MMD losses, softmax-family
+                    steps out of the kernel's range (reported as shifted),
+                    and the oracle the kernel is tested against.
 
 The two MMD losses keep their kernel Gram matrices separate from the score
 matrix: the Grams carry no encoder dependence (training computes them on
@@ -38,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import TILTING_INNER, TILTINGS, _blas_operands, _score_range
+from .encoders import similarity_matrix, similarity_vjp
 
 KERNEL_FAMILIES = ("gaussian", "polynomial")
 SOFTMAX_VARIANTS = ("clip", "cond", "joint")
@@ -269,7 +269,8 @@ def _cond_mmd(s, k_u, k_v, lam_u: float, lam_v: float) -> tuple[float, np.ndarra
 
     The u side weights each u candidate by the column softmax of s (given
     v^i); the v side mirrors with the row softmax. The Grams are treated as
-    score-independent, so the gradient is exact.
+    score-independent, so the gradient is exact. A side of weight 0 reads
+    no Gram, so its Gram may be None.
     """
     arr = _square_scores(s)
     val = 0.0
@@ -357,7 +358,8 @@ def loss_value_and_grad(kind: LossKind, s, u_batch=None, v_batch=None):
     The joint variants take the product batch as all N^2 pairings of the
     current batch (diagonal included), so joint's negatives reuse s itself.
     The MMD variants compute kernel Grams on the raw data batches (u_batch,
-    v_batch), which keeps those Grams parameter-free.
+    v_batch), which keeps those Grams parameter-free; cond_mmd builds a
+    side's Gram only when that side's weight is non-zero.
     """
     arr = _square_scores(s)
     n = arr.shape[0]
@@ -375,8 +377,8 @@ def loss_value_and_grad(kind: LossKind, s, u_batch=None, v_batch=None):
     if u_batch is None or v_batch is None:
         raise ValueError(f"{kind.variant} needs the raw data batches for its kernel")
     if kind.variant == "cond_mmd":
-        k_u = kernel_gram(kind.kernel, u_batch)
-        k_v = kernel_gram(kind.kernel, v_batch)
+        k_u = kernel_gram(kind.kernel, u_batch) if kind.lam_u else None
+        k_v = kernel_gram(kind.kernel, v_batch) if kind.lam_v else None
         return _cond_mmd(arr, k_u, k_v, kind.lam_u, kind.lam_v)
     return _joint_mmd(u_batch, v_batch, arr, kind.kernel)
 
@@ -389,13 +391,27 @@ SCORE_BLOCK = 128
 EXP_LIMIT = 680.0
 
 
-def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
-    """Value and embedding cotangents of a clip, cond or joint loss, taken
+def _chain_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, u_batch=None, v_batch=None):
+    """(value, cot_u, cot_v) through the generic chain similarity_matrix ->
+    loss_value_and_grad -> similarity_vjp. Overflow shows as the non-finite
+    scores or gradient that training rejects, not as numpy warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = similarity_matrix(e_u, e_v, tilting, tau)
+        value, ds = loss_value_and_grad(kind, s, u_batch, v_batch)
+        return (value, *similarity_vjp(e_u, e_v, tilting, tau, ds))
+
+
+def score_step(
+    kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict, u_batch=None, v_batch=None
+):
+    """Value and embedding cotangents of one training step's loss, taken
     straight from the embeddings; returns (value, cot_u, cot_v, shifted).
 
-    Mathematically the composition similarity_matrix -> loss_value_and_grad
-    -> similarity_vjp, reorganised so that no softmax matrix and no score
-    cotangent is formed. The score table s = xu @ xv.T is walked in row
+    The MMD losses go through _chain_step, which computes their kernel
+    Grams on the raw data batches u_batch and v_batch; shifted is False.
+    For clip, cond and joint a tiled kernel computes the same composition,
+    reorganised so that no softmax matrix and no score cotangent is
+    formed. The score table s = xu @ xv.T is walked in row
     tiles; each tile is exponentiated once, E = exp(s), and reduced on the
     spot by one product on each side: E @ [e_v, 1] (row sums in the last
     column), then E.T @ [e_u, 1 | [e_u, 1] / z_row], which holds the column
@@ -411,15 +427,14 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
     with a zero column (_blas_operands) so the tiles run in BLAS.
 
     The exps run unshifted while every score lies in (-EXP_LIMIT,
-    EXP_LIMIT). Once a tile leaves that range the whole table is recomputed
-    and exponentiated with shifts: the row maximum for the row softmax, the
-    column maximum for the column softmax, the global maximum for joint;
-    shifted is then True. Non-finite scores raise ValueError, as in
-    similarity_matrix, without numpy's overflow warnings. ws caches the
-    N x N table between calls.
+    EXP_LIMIT). Once a tile leaves that range the step is the result of
+    _chain_step, whose softmaxes shift by their maxima, and shifted is
+    True. Non-finite scores raise ValueError, as in similarity_matrix,
+    without numpy's overflow warnings. ws caches the N x N table between
+    calls.
     """
     if kind.variant not in SOFTMAX_VARIANTS:
-        raise ValueError(f"score_step covers {SOFTMAX_VARIANTS}, not {kind.variant!r}")
+        return (*_chain_step(kind, e_u, e_v, tilting, tau, u_batch, v_batch), False)
     if tilting not in TILTINGS:
         raise ValueError(f"unknown tilting {tilting!r}")
     e_u = np.asarray(e_u, dtype=np.float64)
@@ -463,7 +478,6 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
     prow_eu = col_acc[:, k + 1 :]
     rhs = np.hstack([eu1, eu1]) if need_prow else eu1
 
-    shifted = False
     for lo in range(0, n, SCORE_BLOCK):
         hi = min(lo + SCORE_BLOCK, n)
         tile = table[lo:hi]
@@ -472,51 +486,28 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
         if check_tiles:
             low, high = _score_range(tile)
             if not (-EXP_LIMIT < low and high < EXP_LIMIT):
-                shifted = True
-                break
+                return (*_chain_step(kind, e_u, e_v, tilting, tau), True)
         diag[lo:hi] = tile[:, lo:hi].diagonal()
         np.exp(tile, out=tile)
         np.matmul(tile, ev1, out=row_ev[lo:hi])
         if need_prow:
             np.divide(eu1[lo:hi], row_ev[lo:hi, k:], out=rhs[lo:hi, k + 1 :])
         col_acc += tile.T @ rhs[lo:hi]
-    shift_row = shift_col = shift_all = 0.0
-    e_col = table
-    if shifted:
-        with np.errstate(**quiet):
-            np.matmul(xu, xv.T, out=table)
-        _, shift_all = _score_range(table)
-        diag[:] = table.diagonal()
-        if joint:
-            table -= shift_all
-        else:
-            shift_col = np.max(table, axis=0)
-            e_col = np.exp(table - shift_col)
-            shift_row = np.max(table, axis=1)
-            table -= shift_row[:, None]
-        np.exp(table, out=table)
-        np.matmul(table, ev1, out=row_ev)
-        col_eu[:] = e_col.T @ eu1
-        if need_prow:
-            prow_eu[:] = table.T @ (eu1 / row_ev[:, k:])
-
     z_row = row_ev[:, k]
     z_col = col_eu[:, k]
     if joint:
         z_all = float(np.sum(z_row))
-        value = _softmax_value(kind, n, float(np.mean(diag)), None, None, shift_all + np.log(z_all))
+        value = _softmax_value(kind, n, float(np.mean(diag)), None, None, np.log(z_all))
         q_u = row_ev / z_all - ev1 / n
         q_v = col_eu / z_all - eu1 / n
     else:
-        lse_col = shift_col + np.log(z_col)
-        lse_row = shift_row + np.log(z_row)
-        value = _softmax_value(kind, n, float(np.mean(diag)), lse_col, lse_row, None)
+        value = _softmax_value(kind, n, float(np.mean(diag)), np.log(z_col), np.log(z_row), None)
         # q = ds @ [e_v, 1] and ds.T @ [e_u, 1] with
         # ds = (lam_u P_col + lam_v P_row - (lam_u + lam_v) I) / 2N
         q_u = -(lam_u + lam_v) * ev1
         q_v = -(lam_u + lam_v) * eu1
         if lam_u:
-            q_u += lam_u * (e_col @ (ev1 / z_col[:, None]))
+            q_u += lam_u * (table @ (ev1 / z_col[:, None]))
             q_v += lam_u * (col_eu / z_col[:, None])
         if lam_v:
             q_u += lam_v * (row_ev / z_row[:, None])
@@ -528,4 +519,4 @@ def score_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict):
     if tilting != TILTING_INNER:
         cot_u = cot_u - q_u[:, k:] * e_u
         cot_v = cot_v - q_v[:, k:] * e_v
-    return value, cot_u / tau, cot_v / tau, shifted
+    return value, cot_u / tau, cot_v / tau, False

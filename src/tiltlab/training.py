@@ -13,16 +13,12 @@ fine-tuning a label head is a train call (see crossmodal). adam_step keeps
 its moments in preallocated buffers that it updates in place, and its betas
 and epsilon are the module constants ADAM_BETAS and ADAM_EPS.
 
-A step takes one of two paths, fixed by the loss variant:
-  clip, cond, joint    losses.score_step, the tiled score-table kernel, for
-                       both tiltings; a step whose scores leave its
-                       unshifted exp range is counted per epoch in
-                       TrainHistory.shifted_steps
-  cond_mmd, joint_mmd  the generic chain similarity_matrix ->
-                       loss_value_and_grad -> similarity_vjp, which is also
-                       the test oracle for the kernel
-Non-finite scores raise ValueError, and a non-finite gradient, Adam moment
-or parameter raises NonFiniteGradient; either names the epoch and step.
+A step makes one loss call, losses.score_step, whatever the variant;
+losses alone decides which path computes it. A step whose scores leave the
+unshifted exp range of its tiled kernel is counted per epoch in
+TrainHistory.shifted_steps. Non-finite scores raise ValueError, and a
+non-finite gradient, Adam moment or parameter raises NonFiniteGradient;
+either names the epoch and step.
 """
 
 from __future__ import annotations
@@ -32,16 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoders import (
-    EncoderParams,
-    EncoderSpec,
-    TILTINGS,
-    encode_with_vjp,
-    similarity_matrix,
-    similarity_vjp,
-)
+from .encoders import EncoderParams, EncoderSpec, TILTINGS, encode_with_vjp
 from .errors import NonFiniteGradient
-from .losses import SOFTMAX_VARIANTS, LossKind, loss_value_and_grad, score_step
+from .losses import LossKind, score_step
 from .rng import SeededRng
 
 ADAM_BETAS = (0.9, 0.999)
@@ -75,7 +64,8 @@ class TrainConfig:
 class TrainHistory:
     """Per-epoch mean loss, caller-supplied metrics, wall-clock seconds, and
     the number of steps whose scores left the unshifted exp range of
-    losses.score_step (zero for the MMD losses, which never take it)."""
+    losses.score_step's tiled kernel (zero for the MMD losses, which never
+    take it)."""
 
     losses: list[float] = field(default_factory=list)
     metrics: list[dict] = field(default_factory=list)
@@ -192,7 +182,6 @@ def train(
     state_u = AdamState.zeros(params_u.theta.size)
     state_v = AdamState.zeros(params_v.theta.size)
     history = TrainHistory()
-    softmax_family = cfg.loss.variant in SOFTMAX_VARIANTS
     lr = cfg.learning_rate
     ws: dict = {}
 
@@ -206,15 +195,10 @@ def train(
             e_u, vjp_u = encode_with_vjp(spec_u, params_u, u_batch)
             e_v, vjp_v = encode_with_vjp(spec_v, params_v, v_batch)
             try:
-                if softmax_family:
-                    value, cot_u, cot_v, shifted = score_step(
-                        cfg.loss, e_u, e_v, cfg.tilting, cfg.tau, ws
-                    )
-                    shifted_steps += shifted
-                else:
-                    s = similarity_matrix(e_u, e_v, cfg.tilting, cfg.tau)
-                    value, ds = loss_value_and_grad(cfg.loss, s, u_batch, v_batch)
-                    cot_u, cot_v = similarity_vjp(e_u, e_v, cfg.tilting, cfg.tau, ds)
+                value, cot_u, cot_v, shifted = score_step(
+                    cfg.loss, e_u, e_v, cfg.tilting, cfg.tau, ws, u_batch, v_batch
+                )
+                shifted_steps += shifted
                 step_losses.append(value)
                 if spec_u.trainable:
                     theta_u, state_u = adam_step(params_u.theta, vjp_u(cot_u), state_u, lr)

@@ -787,6 +787,34 @@ class TestMnist:
         assert f"mnist: skipped (missing files: ['{tmp_path / 'absent.idx'}'])" in captured.out
         assert read_report(outdir)["results"]["skipped"].startswith("missing MNIST files")
 
+    def test_heldout_accuracy_takes_the_label_prior(self, tmp_path):
+        # 8x8 images, one noisy template per label, labels drawn from a
+        # skewed prior: argmax of the logits alone scores 0.31-0.39 at
+        # seeds 1-3, and with log pi added, as label_probs has it, 0.57,
+        # the held-out share of label 0 (three epochs leave the prior
+        # to decide)
+        rng = np.random.default_rng(0)
+        pi = [0.55, 0.2, 0.1, 0.05, 0.04, 0.02, 0.01, 0.01, 0.01, 0.01]
+        templates = rng.integers(90, 166, (10, 8, 8))
+        paths = {}
+        for prefix, n in (("", 600), ("test_", 200)):
+            labels = rng.choice(10, n, p=pi).astype(np.uint8)
+            noise = rng.integers(-200, 200, (n, 8, 8))
+            images = np.clip(templates[labels] + noise, 0, 255).astype(np.uint8)
+            for kind, magic, arr in (("images", 0x803, images), ("labels", 0x801, labels)):
+                path = tmp_path / f"{prefix}{kind}.idx"
+                header = b"".join(d.to_bytes(4, "big") for d in (magic, *arr.shape))
+                path.write_bytes(header + arr.tobytes())
+                paths[prefix + kind] = str(path)
+        doc = self.base_doc(tmp_path / "out")
+        doc["train"]["epochs"] = 3
+        doc["mnist"] = paths
+        for seed in (1, 2, 3):
+            out = tmp_path / f"out-{seed}"
+            argv = ["run", write_config(tmp_path, doc), "--seed", str(seed), "--output-dir", str(out)]
+            assert cli.main(argv) == 0
+            assert read_report(out)["results"]["final_heldout_accuracy"] >= 0.5
+
 
 SMALL_RUNS = {
     "closed-form": {},

@@ -3,6 +3,7 @@ reimplementations of the MMD estimators, and FD checks on every score
 gradient."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -488,6 +489,25 @@ class TestDispatch:
         )
         assert self.value_of(kind) == want
 
+    @pytest.mark.parametrize("lams, sides", [((1.0, 0.0), 1), ((0.0, 2.0), 1), ((1.0, 1.0), 2)])
+    def test_cond_mmd_builds_only_the_grams_it_uses(self, monkeypatch, lams, sides):
+        calls = []
+        gram = losses.kernel_gram
+
+        def counting(k, x, y=None):
+            calls.append(x)
+            return gram(k, x, y)
+
+        k = Kernel("gaussian", bandwidth=0.8)
+        kind = LossKind("cond_mmd", *lams, kernel=k)
+        # both Grams given: the unused one changes no bit
+        want = losses._cond_mmd(self.s, gram(k, self.u_batch), gram(k, self.v_batch), *lams)
+        monkeypatch.setattr(losses, "kernel_gram", counting)
+        value, g = losses.loss_value_and_grad(kind, self.s, self.u_batch, self.v_batch)
+        assert len(calls) == sides
+        assert value == want[0]
+        np.testing.assert_array_equal(g, want[1])
+
     def test_joint_mmd_value(self):
         k = Kernel("gaussian", bandwidth=1.5)
         kind = LossKind("joint_mmd", kernel=k)
@@ -563,10 +583,16 @@ class TestScoreStep:
     @pytest.mark.parametrize("tau", [0.7, 1e-3])
     def test_matches_generic_chain(self, kind, tilting, n, n_e, tau):
         # at tau = 1e-3 the embeddings score up to +-1000 and beyond, which
-        # takes the shifted exp; compare relative to the largest entry
+        # leaves the kernel's range: the step is then the chain's own
+        # result, bit for bit. Kernel steps compare relative to the largest
+        # entry.
         e_u, e_v = embedding_rows(n, n, n_e)
         value, cot_u, cot_v, shifted = losses.score_step(kind, e_u, e_v, tilting, tau, {})
         want_value, want_u, want_v = generic_chain(kind, e_u, e_v, tilting, tau)
+        if shifted:
+            assert value == want_value
+            np.testing.assert_array_equal(cot_u, want_u)
+            np.testing.assert_array_equal(cot_v, want_v)
         scale = max(1.0, abs(want_value), np.abs(want_u).max(), np.abs(want_v).max())
         assert abs(value - want_value) <= 1e-12 * scale
         np.testing.assert_allclose(cot_u, want_u, rtol=0, atol=1e-12 * scale)
@@ -614,14 +640,43 @@ class TestScoreStep:
         assert first[0] == again[0]
         np.testing.assert_array_equal(first[1], again[1])
 
-    def test_non_finite_scores_raise(self):
-        e_u, e_v = unit_rows(14, 8, 2)
-        e_u[5, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite similarity scores"):
-            losses.score_step(LossKind("cond"), e_u, e_v, "inner_product", 1.0, {})
+    @pytest.mark.parametrize(
+        "kind, tilting, n, row, entry, tau",
+        [
+            (LossKind("cond"), "inner_product", 8, 5, np.nan, 1.0),
+            # the first tile's scores are finite but out of range, so the
+            # chain meets the overflow of row 2 * BLOCK, without warnings
+            (LossKind("cond"), "l2_distance", 2 * BLOCK + 37, 2 * BLOCK, 1e200, 1e-3),
+            (LossKind("cond_mmd", kernel=Kernel("gaussian")), "l2_distance", 8, 5, 1e200, 1.0),
+        ],
+        ids=["nan", "overflow-after-shift", "overflow-mmd"],
+    )
+    def test_non_finite_scores_raise(self, kind, tilting, n, row, entry, tau):
+        e_u, e_v = unit_rows(14, n, 2)
+        e_u[row, 0] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite similarity scores"):
+                losses.score_step(kind, e_u, e_v, tilting, tau, {}, e_u, e_v)
 
-    def test_rejects_mmd_variants(self):
-        e_u, e_v = unit_rows(15, 4, 2)
-        kind = LossKind("cond_mmd", kernel=Kernel("gaussian"))
-        with pytest.raises(ValueError, match="score_step covers"):
-            losses.score_step(kind, e_u, e_v, "inner_product", 1.0, {})
+    @pytest.mark.parametrize("tilting", ["inner_product", "l2_distance"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            LossKind("cond_mmd", 1.0, 0.5, kernel=Kernel("gaussian")),
+            LossKind("joint_mmd", kernel=Kernel("polynomial", degree=2)),
+        ],
+        ids=lambda k: k.variant,
+    )
+    def test_mmd_variants_take_the_chain(self, kind, tilting):
+        e_u, e_v = unit_rows(15, 9, 2)
+        batches = SeededRng(16).standard_normal((2, 9, 3))
+        value, cot_u, cot_v, shifted = losses.score_step(
+            kind, e_u, e_v, tilting, 0.8, {}, *batches
+        )
+        s = similarity_matrix(e_u, e_v, tilting, 0.8)
+        want_value, ds = losses.loss_value_and_grad(kind, s, *batches)
+        want_u, want_v = similarity_vjp(e_u, e_v, tilting, 0.8, ds)
+        assert value == want_value and not shifted
+        np.testing.assert_array_equal(cot_u, want_u)
+        np.testing.assert_array_equal(cot_v, want_v)

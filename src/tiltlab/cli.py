@@ -506,13 +506,15 @@ def _run_lagrangian(plan: RunPlan):
     n_train = plan.sweep["sample_sizes"][0]
     n_total = n_train + plan.heldout
     data = datagen.lagrangian_dataset(plan.flow, n_total, root.split(3))
-    coeff_dim = data.u.shape[1]
     feats = datagen.torus_trajectory_features(data.v)
+    coeffs = data.u
+    del data  # the raw trajectories are read only by the features
+    coeff_dim = coeffs.shape[1]
 
     # cosine embeddings on both sides: the coefficient table is frozen
     # (identity up to normalization), only the trajectory encoder learns
     spec_u = encoders.frozen_table_spec(n_total, coeff_dim, normalized=True)
-    params_u = encoders.params_from_table(spec_u, data.u)
+    params_u = encoders.params_from_table(spec_u, coeffs)
     spec_v = encoders.mlp_spec(
         [feats.shape[1], plan.hidden, plan.hidden, coeff_dim],
         activation="relu",
@@ -524,7 +526,7 @@ def _run_lagrangian(plan: RunPlan):
 
     def recalls(params_v) -> dict:
         e_u = encoders.encode(spec_u, params_u, test_ids[:, None].astype(np.float64))
-        e_v = encoders.encode(spec_v, params_v, feats[test_ids])
+        e_v = encoders.encode(spec_v, params_v, feats[n_train:])
         idx_u = crossmodal.build_index(e_u, test_ids.tolist(), normalized=True)
         idx_v = crossmodal.build_index(e_v, test_ids.tolist(), normalized=True)
         ranks = {

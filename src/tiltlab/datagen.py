@@ -58,8 +58,9 @@ class GpConfig:
     n_coeffs KL coefficients raw (the basis-normalization constant is left
     in the eigenfunctions, and the empirical-covariance pathway downstream
     is insensitive to that convention). gp_modality_pair draws the KL
-    coefficients in stream order and in row blocks; the pairs are those of
-    the whole draw, without holding its n x n_modes matrix."""
+    coefficients in stream order, in row blocks filled into one reused
+    buffer; the pairs are those of the whole draw, without holding its
+    n x n_modes matrix."""
 
     tau_inv_length: float = 3.0
     alpha: float = 2.0
@@ -105,8 +106,9 @@ def gp_analytic_blocks(cfg: GpConfig) -> BlockGaussian:
     )
 
 
-# most rows of KL coefficients held at once by gp_modality_pair
-GP_BLOCK_ROWS = 1024
+# most rows of KL coefficients held at once by gp_modality_pair, in its one
+# reused buffer
+GP_BLOCK_ROWS = 256
 
 
 def gp_modality_pair(cfg: GpConfig, n: int, rng: SeededRng) -> PairedDataset:
@@ -114,11 +116,12 @@ def gp_modality_pair(cfg: GpConfig, n: int, rng: SeededRng) -> PairedDataset:
     with xi (n x n_modes) and then noise (n x grid_points) drawn in that
     stream order.
 
-    xi is drawn and used in row blocks of at most GP_BLOCK_ROWS rows, so the
-    whole n x n_modes draw is never held; consecutive draws continue one
-    stream, so the coefficients are those of the whole draw. The blocks are
-    near-equal (edges at n * i // n_blocks): a short tail block can take
-    another BLAS path and move u in the last bit, which equal blocks avoid.
+    xi is drawn and used in row blocks of at most GP_BLOCK_ROWS rows, each
+    filled in place into one reused buffer, so the whole n x n_modes draw is
+    never held; consecutive draws continue one stream, so the coefficients
+    are those of the whole draw. The blocks are near-equal (edges at
+    n * i // n_blocks): a short tail block can take another BLAS path and
+    move u in the last bit, which equal blocks avoid.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -126,12 +129,18 @@ def gp_modality_pair(cfg: GpConfig, n: int, rng: SeededRng) -> PairedDataset:
     u = np.empty((n, cfg.grid_points))
     v = np.empty((n, cfg.n_coeffs))
     n_blocks = -(-n // GP_BLOCK_ROWS)
+    buf = np.empty((-(-n // n_blocks), cfg.n_modes))
     for i in range(n_blocks):
         lo, hi = n * i // n_blocks, n * (i + 1) // n_blocks
-        xi = rng.standard_normal((hi - lo, cfg.n_modes))
-        u[lo:hi] = xi @ phi.T
+        xi = rng.standard_normal(out=buf[: hi - lo])
+        np.matmul(xi, phi.T, out=u[lo:hi])
         v[lo:hi] = xi[:, : cfg.n_coeffs]
-    u += cfg.noise_sigma * rng.standard_normal((n, cfg.grid_points))
+    # drop the buffer and scale the noise in place: the tail then holds
+    # only u, v and the noise, below the peak of the loop
+    del xi, buf
+    noise = rng.standard_normal((n, cfg.grid_points))
+    noise *= cfg.noise_sigma
+    u += noise
     return PairedDataset(u=u, v=v)
 
 

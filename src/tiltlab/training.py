@@ -10,7 +10,8 @@ trainable parameters (one_hot, frozen_table) pass through untouched.
 
 adam_step is the package's one Adam update and train its one loop;
 fine-tuning a label head is a train call (see crossmodal). adam_step keeps
-its moments in preallocated buffers that it updates in place, and its betas
+its moments in preallocated buffers that it updates in place, walking them
+in slices of ADAM_CHUNK entries through chunk-sized scratch, and its betas
 and epsilon are the module constants ADAM_BETAS and ADAM_EPS.
 
 A step makes one loss call, losses.score_step, whatever the variant;
@@ -35,6 +36,8 @@ from .rng import SeededRng
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# entries per slice of adam_step's pass, and the length of its scratch
+ADAM_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,8 @@ class TrainHistory:
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, plus two scratch vectors; adam_step
-    updates all of them in place, so a step allocates only the new
+    """Adam's moments and step count, plus two chunk-sized scratch vectors;
+    adam_step updates all of them in place, so a step allocates only the new
     parameter vector."""
 
     m: np.ndarray
@@ -95,7 +98,7 @@ class AdamState:
     t: int = 0
 
     def __post_init__(self):
-        self.scratch = np.empty((2, self.m.size))
+        self.scratch = np.empty((2, min(self.m.size, ADAM_CHUNK)))
 
     @staticmethod
     def zeros(n: int) -> "AdamState":
@@ -108,32 +111,38 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, learning_r
 
     The moments and step count of state advance in place and params is left
     untouched. Rejects a non-finite gradient, and a finite one whose square
-    or update overflows the moments or parameters.
+    or update overflows the moments or parameters. The update walks the
+    vectors in slices of ADAM_CHUNK entries; every op is elementwise, so
+    the result is bitwise that of one whole-vector pass.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("gradient contains nan or inf")
     b1, b2 = ADAM_BETAS
     state.t += 1
-    m, v, (a, b) = state.m, state.v, state.scratch
+    new_params = np.empty(grad.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-        m *= b1
-        m += np.multiply(grad, 1.0 - b1, out=a)
-        np.multiply(grad, grad, out=a)
-        v *= b2
-        v += np.multiply(a, 1.0 - b2, out=a)
-        # params - lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, 1.0 - b1**state.t, out=a)
-        a *= learning_rate
-        np.divide(v, 1.0 - b2**state.t, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
-        new_params = params - a
+        for lo in range(0, grad.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, grad.size)
+            g, m, v = grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
+            a, b = state.scratch[:, : hi - lo]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=a)
+            np.multiply(g, g, out=a)
+            v *= b2
+            v += np.multiply(a, 1.0 - b2, out=a)
+            # params - lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, 1.0 - b1**state.t, out=a)
+            a *= learning_rate
+            np.divide(v, 1.0 - b2**state.t, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            np.subtract(params[lo:hi], a, out=new_params[lo:hi])
     # v >= 0, so its maximum is finite exactly when all of v is; with v
     # finite, a non-finite m shows up in the parameters
-    if v.size and not (np.isfinite(v.max()) and np.isfinite(new_params).all()):
+    if state.v.size and not (np.isfinite(state.v.max()) and np.isfinite(new_params).all()):
         raise NonFiniteGradient("Adam moments or parameters overflowed")
     return new_params, state
 

@@ -139,6 +139,17 @@ class TestGpModality:
             tracemalloc.stop()
         assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_draw_reuses_one_block_buffer(self):
+        # u, v and one GP_BLOCK_ROWS x n_modes buffer take about 4.9 MB; a
+        # fresh array per block holds two blocks at once
+        tracemalloc.start()
+        try:
+            gp_modality_pair(GpConfig(), 20_000, SeededRng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GpConfig(noise_sigma=0.0)

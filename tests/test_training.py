@@ -12,6 +12,7 @@ from tiltlab.losses import LossKind
 from tiltlab.rng import SeededRng
 from tiltlab.training import (
     ADAM_BETAS,
+    ADAM_CHUNK,
     ADAM_EPS,
     AdamState,
     TrainConfig,
@@ -129,6 +130,68 @@ class TestAdam:
         # the gradient is finite but its square is not
         with np.errstate(over="raise"), pytest.raises(NonFiniteGradient, match="overflowed"):
             adam_step(np.zeros(2), np.array([1e200, 1.0]), AdamState.zeros(2), 1e-2)
+
+
+def whole_vector_adam(params, grad, m, v, t, learning_rate):
+    """One Adam update over whole vectors, in adam_step's op order; m and v
+    advance in place."""
+    b1, b2 = ADAM_BETAS
+    m *= b1
+    m += grad * (1.0 - b1)
+    a = grad * grad
+    v *= b2
+    v += a * (1.0 - b2)
+    a = m / (1.0 - b1**t)
+    a *= learning_rate
+    b = np.sqrt(v / (1.0 - b2**t))
+    b += ADAM_EPS
+    a /= b
+    return params - a
+
+
+class TestChunkedAdam:
+    @pytest.mark.parametrize(
+        "n", [1, ADAM_CHUNK - 1, ADAM_CHUNK, ADAM_CHUNK + 1, 3 * ADAM_CHUNK + 5]
+    )
+    def test_matches_the_whole_vector_update_bitwise(self, n):
+        rng = SeededRng(21).split(n)
+        params = rng.split(0).standard_normal(n)
+        ref_params, ref_m, ref_v = params.copy(), np.zeros(n), np.zeros(n)
+        state = AdamState.zeros(n)
+        for t in range(1, 4):
+            grad = rng.split(1, t).standard_normal(n)
+            params, state = adam_step(params, grad, state, 3e-3)
+            ref_params = whole_vector_adam(ref_params, grad, ref_m, ref_v, t, 3e-3)
+            assert np.array_equal(params, ref_params)
+            assert np.array_equal(state.m, ref_m)
+            assert np.array_equal(state.v, ref_v)
+        assert state.t == 3
+
+    def test_scratch_is_chunk_sized(self):
+        # the flow MLP's parameter count
+        assert AdamState.zeros(223_762).scratch.nbytes <= 2 * 8 * ADAM_CHUNK
+
+    def test_nan_in_last_chunk_leaves_state_untouched(self):
+        n = 2 * ADAM_CHUNK + 3
+        state = AdamState.zeros(n)
+        adam_step(np.zeros(n), np.ones(n), state, 1e-2)
+        m, v = state.m.copy(), state.v.copy()
+        grad = np.ones(n)
+        grad[-1] = np.nan
+        with pytest.raises(NonFiniteGradient, match="gradient contains nan or inf"):
+            adam_step(np.zeros(n), grad, state, 1e-2)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+        assert state.t == 1
+
+    def test_overflow_in_last_chunk_is_caught(self):
+        n = 2 * ADAM_CHUNK + 3
+        grad = np.ones(n)
+        grad[-1] = 1e200
+        with np.errstate(over="raise"), pytest.raises(
+            NonFiniteGradient, match="^Adam moments or parameters overflowed$"
+        ):
+            adam_step(np.zeros(n), grad, AdamState.zeros(n), 1e-2)
 
 
 class TestTrainLoop:

@@ -62,8 +62,11 @@ def classify(u_embedding, labels, tau: float):
 
     Scores are raw inner products, hence cosine similarities whenever both
     sides are unit-normalized (as the normalized-encoder pipeline makes
-    them). Ties go to the lower label index.
+    them). Ties go to the lower label index. tau must be positive, so the
+    argmax is also the label of largest probability.
     """
+    if not tau > 0:
+        raise ValueError("tau must be positive")
     q = np.asarray(u_embedding, dtype=np.float64).reshape(-1)
     labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
     s = labels @ q

@@ -67,6 +67,7 @@ class EncoderSpec:
             if self.activation is not None:
                 raise ValueError(f"{self.family} takes no activation")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_shape_table", self._build_shape_table())
 
     @property
     def n_in(self) -> int:
@@ -87,7 +88,10 @@ class EncoderSpec:
     def shape_table(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """(name, shape) of each parameter block, in flat-vector order. The
         dense chain has layer i's weight w{i} of shape (dims[i+1], dims[i]),
-        then its bias b{i} unless the family is linear."""
+        then its bias b{i} unless the family is linear. Built once per spec."""
+        return self._shape_table
+
+    def _build_shape_table(self):
         if self.family == "frozen_table":
             return (("table", self.dims),)
         if self.family == "one_hot":
@@ -139,6 +143,16 @@ class EncoderParams:
             raise ValueError("parameters must be finite")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "shapes", tuple((n, tuple(s)) for n, s in self.shapes))
+
+    @classmethod
+    def _view(cls, theta: np.ndarray, shapes) -> "EncoderParams":
+        """Wrap a flat float64 vector without the constructor's checks: for
+        training, whose Adam update already rejects a non-finite vector and
+        whose slices match their spec's shape table by construction."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "theta", theta)
+        object.__setattr__(params, "shapes", shapes)
+        return params
 
     def unflatten(self) -> dict[str, np.ndarray]:
         return _blocks(self.theta, self.shapes)
@@ -244,25 +258,28 @@ def encode_with_vjp(spec: EncoderSpec, params: EncoderParams, batch):
     """Embed a batch once; returns (e, vjp) where vjp(cotangent) is the
     gradient of <cotangent, e> with respect to the flat parameter vector.
 
-    The pullback reuses the forward pass. one_hot has no parameters (empty
-    gradient). frozen_table gets the true table gradient (scatter-added over
-    rows); callers that treat the table as frozen simply never apply it.
+    The pullback reuses the forward pass and writes the gradient into out
+    when given (a float64 vector of the parameter count, which training
+    passes as its slice of one gradient buffer), else into a new vector.
+    one_hot has no parameters (empty gradient). frozen_table gets the true
+    table gradient (scatter-added over rows); callers that treat the table
+    as frozen simply never apply it.
     """
-    out, cache, norms = _forward(spec, params, batch)
+    e, cache, norms = _forward(spec, params, batch)
 
-    def vjp(cotangent) -> np.ndarray:
+    def vjp(cotangent, out=None) -> np.ndarray:
         cot = np.asarray(cotangent, dtype=np.float64)
-        if cot.shape != out.shape:
-            raise ValueError(f"cotangent shape {cot.shape}, expected {out.shape}")
+        if cot.shape != e.shape:
+            raise ValueError(f"cotangent shape {cot.shape}, expected {e.shape}")
+        grad = np.empty(params.theta.size) if out is None else out
         if spec.family == "one_hot":
-            return np.zeros(0)
+            return grad
         if norms is not None:
-            cot = (cot - out * np.sum(cot * out, axis=1, keepdims=True)) / norms[:, None]
+            cot = (cot - e * np.sum(cot * e, axis=1, keepdims=True)) / norms[:, None]
         if spec.family == "frozen_table":
-            grad = np.zeros(params.theta.size)
+            grad.fill(0.0)
             np.add.at(grad.reshape(spec.dims), cache, cot)
             return grad
-        grad = np.empty(params.theta.size)
         blocks = _blocks(grad, params.shapes)
         delta = cot
         for i in reversed(range(len(cache))):
@@ -277,7 +294,7 @@ def encode_with_vjp(spec: EncoderSpec, params: EncoderParams, batch):
                 delta *= (x_in > 0.0) if spec.activation == "relu" else 1.0 - x_in**2
         return grad
 
-    return out, vjp
+    return e, vjp
 
 
 def encode(spec: EncoderSpec, params: EncoderParams, batch) -> np.ndarray:

@@ -401,6 +401,41 @@ def _chain_step(kind: LossKind, e_u, e_v, tilting: str, tau: float, u_batch=None
         return (value, *similarity_vjp(e_u, e_v, tilting, tau, ds))
 
 
+class _StepWorkspace:
+    """The buffers of one score_step shape, refilled in place by each call
+    of that shape; no result of a call aliases them. table is the whole
+    N x N score table when the column softmax re-reads it, else one
+    SCORE_BLOCK x N row tile that every tile of the walk reuses."""
+
+    def __init__(self, n: int, k: int, tilting: str, need_prow: bool, need_pcol: bool):
+        w = k + 1
+        # [e_u, 1 | [e_u, 1] / z_row], the right-hand side of each tile's
+        # column product; its first half is [e_u, 1]
+        self.rhs = np.empty((n, 2 * w if need_prow else w))
+        self.eu1 = self.rhs[:, :w]
+        self.ev1 = np.empty((n, w))
+        # the tau-scaled operands of the score table: [e_u / tau, 0] and
+        # [e_v, 0] for one-column inner products (see _blas_operands), and
+        # under l2_distance the bias columns [e_u / tau, -|u|^2/2tau, 1]
+        # and [e_v, 1, -|v|^2/2tau]
+        width = max(k, 2) if tilting == TILTING_INNER else k + 2
+        self.xu = np.zeros((n, width))
+        self.xv = np.zeros((n, width))
+        if tilting != TILTING_INNER:
+            # the constant columns, which no call writes
+            self.xu[:, k + 1] = 1.0
+            self.xv[:, k] = 1.0
+        self.diag = np.empty(n)
+        self.row_ev = np.empty((n, w))  # E @ [e_v, 1]
+        # E.T @ [e_u, 1] and, beside it when needed, P_row.T @ [e_u, 1],
+        # summed from each tile's product in col_tile
+        self.col_acc = np.empty(self.rhs.shape)
+        self.col_tile = np.empty(self.rhs.shape)
+        self.scaled = np.empty((n, w))
+        self.prod = np.empty((n, w))
+        self.table = np.empty((n if need_pcol else min(SCORE_BLOCK, n), n))
+
+
 def score_step(
     kind: LossKind, e_u, e_v, tilting: str, tau: float, ws: dict, u_batch=None, v_batch=None
 ):
@@ -430,8 +465,14 @@ def score_step(
     EXP_LIMIT). Once a tile leaves that range the step is the result of
     _chain_step, whose softmaxes shift by their maxima, and shifted is
     True. Non-finite scores raise ValueError, as in similarity_matrix,
-    without numpy's overflow warnings. ws caches the N x N table between
-    calls.
+    without numpy's overflow warnings.
+
+    ws holds the step's buffers between calls, one _StepWorkspace per key
+    (N, n_e, tilting, whether the row softmax is needed, whether the column
+    softmax is needed); each call refills its operands in place instead of
+    stacking new ones. A step with no column softmax (joint, and cond with
+    lam_u = 0) walks one SCORE_BLOCK x N tile buffer, which stays in
+    cache, instead of the N x N table.
     """
     if kind.variant not in SOFTMAX_VARIANTS:
         return (*_chain_step(kind, e_u, e_v, tilting, tau, u_batch, v_batch), False)
@@ -442,81 +483,94 @@ def score_step(
     if e_u.ndim != 2 or e_u.shape != e_v.shape or e_u.shape[0] < 2:
         raise ValueError(f"embedding shapes {e_u.shape} and {e_v.shape} must match, N >= 2")
     n, k = e_u.shape
-    table = ws.get(n)
-    if table is None:
-        table = ws[n] = np.empty((n, n))
-    ones = np.ones((n, 1))
-    eu1 = np.hstack([e_u, ones])
-    ev1 = np.hstack([e_v, ones])
-    # overflow in the squares or score tiles (and inf - inf under
-    # l2_distance) leaves non-finite scores, which _score_range reports;
-    # numpy's warnings would only repeat it
-    quiet = {"over": "ignore", "invalid": "ignore"}
-    with np.errstate(**quiet):
-        sq_u = np.sum(e_u**2, axis=1, keepdims=True)
-        sq_v = np.sum(e_v**2, axis=1, keepdims=True)
-    # Cauchy-Schwarz bound on |score|; the tiles need no range check below it
-    norm_u, norm_v = np.sqrt(np.max(sq_u)), np.sqrt(np.max(sq_v))
-    if tilting == TILTING_INNER:
-        xu, xv = _blas_operands(e_u / tau, e_v)
-        bound = norm_u * norm_v / tau
-    else:
-        xu = np.hstack([e_u / tau, sq_u / (-2.0 * tau), ones])
-        xv = np.hstack([e_v, ones, sq_v / (-2.0 * tau)])
-        bound = (norm_u + norm_v) ** 2 / (2.0 * tau)
-    check_tiles = not bound < EXP_LIMIT
     joint = kind.variant == "joint"
     lam_u, lam_v = (kind.lam_u, kind.lam_v) if kind.variant == "cond" else (1.0, 1.0)
     need_prow = not joint and lam_v != 0.0
-
-    diag = np.empty(n)
-    row_ev = np.empty((n, k + 1))  # E @ [e_v, 1]
-    # E.T @ [e_u, 1] and, beside it when needed, P_row.T @ [e_u, 1]: each
-    # tile takes one product with [e_u, 1 | [e_u, 1] / z_row]
-    col_acc = np.zeros((n, 2 * (k + 1) if need_prow else k + 1))
+    need_pcol = not joint and lam_u != 0.0
+    key = (n, k, tilting, need_prow, need_pcol)
+    buf = ws.get(key)
+    if buf is None:
+        buf = ws[key] = _StepWorkspace(*key)
+    eu1, ev1, rhs, xu, xv = buf.eu1, buf.ev1, buf.rhs, buf.xu, buf.xv
+    eu1[:, :k] = e_u
+    eu1[:, k] = 1.0
+    ev1[:, :k] = e_v
+    ev1[:, k] = 1.0
+    np.divide(e_u, tau, out=xu[:, :k])
+    xv[:, :k] = e_v
+    diag, row_ev, col_acc, col_tile = buf.diag, buf.row_ev, buf.col_acc, buf.col_tile
+    col_acc.fill(0.0)
     col_eu = col_acc[:, : k + 1]
     prow_eu = col_acc[:, k + 1 :]
-    rhs = np.hstack([eu1, eu1]) if need_prow else eu1
-
-    for lo in range(0, n, SCORE_BLOCK):
-        hi = min(lo + SCORE_BLOCK, n)
-        tile = table[lo:hi]
-        with np.errstate(**quiet):
+    # overflow in the squares, the score tiles or their products (and
+    # inf - inf under l2_distance) leaves non-finite scores or cotangents,
+    # which _score_range and training report; numpy's warnings would only
+    # repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_u = np.sum(e_u**2, axis=1, keepdims=True)
+        sq_v = np.sum(e_v**2, axis=1, keepdims=True)
+        # Cauchy-Schwarz bound on |score|; the tiles need no range check below it
+        norm_u, norm_v = np.sqrt(np.max(sq_u)), np.sqrt(np.max(sq_v))
+        if tilting == TILTING_INNER:
+            bound = norm_u * norm_v / tau
+        else:
+            np.divide(sq_u, -2.0 * tau, out=xu[:, k : k + 1])
+            np.divide(sq_v, -2.0 * tau, out=xv[:, k + 1 :])
+            bound = (norm_u + norm_v) ** 2 / (2.0 * tau)
+        check_tiles = not bound < EXP_LIMIT
+        for lo in range(0, n, SCORE_BLOCK):
+            hi = min(lo + SCORE_BLOCK, n)
+            tile = buf.table[lo:hi] if need_pcol else buf.table[: hi - lo]
             np.matmul(xu[lo:hi], xv.T, out=tile)
-        if check_tiles:
-            low, high = _score_range(tile)
-            if not (-EXP_LIMIT < low and high < EXP_LIMIT):
-                return (*_chain_step(kind, e_u, e_v, tilting, tau), True)
-        diag[lo:hi] = tile[:, lo:hi].diagonal()
-        np.exp(tile, out=tile)
-        np.matmul(tile, ev1, out=row_ev[lo:hi])
-        if need_prow:
-            np.divide(eu1[lo:hi], row_ev[lo:hi, k:], out=rhs[lo:hi, k + 1 :])
-        col_acc += tile.T @ rhs[lo:hi]
+            if check_tiles:
+                low, high = _score_range(tile)
+                if not (-EXP_LIMIT < low and high < EXP_LIMIT):
+                    return (*_chain_step(kind, e_u, e_v, tilting, tau), True)
+            diag[lo:hi] = tile[:, lo:hi].diagonal()
+            np.exp(tile, out=tile)
+            np.matmul(tile, ev1, out=row_ev[lo:hi])
+            if need_prow:
+                np.divide(eu1[lo:hi], row_ev[lo:hi, k:], out=rhs[lo:hi, k + 1 :])
+            col_acc += np.matmul(tile.T, rhs[lo:hi], out=col_tile)
     z_row = row_ev[:, k]
     z_col = col_eu[:, k]
+    # q_u = ds @ [e_v, 1] and q_v = ds.T @ [e_u, 1] overwrite [e_v, 1] and
+    # [e_u, 1], which the next call refills
+    q_u, q_v, prod = ev1, eu1, buf.prod
     if joint:
         z_all = float(np.sum(z_row))
         value = _softmax_value(kind, n, float(np.mean(diag)), None, None, np.log(z_all))
-        q_u = row_ev / z_all - ev1 / n
-        q_v = col_eu / z_all - eu1 / n
+        # q_u = E @ [e_v, 1] / z_all - [e_v, 1] / N, q_v likewise
+        np.divide(q_u, n, out=q_u)
+        np.subtract(np.divide(row_ev, z_all, out=row_ev), q_u, out=q_u)
+        np.divide(q_v, n, out=q_v)
+        np.subtract(np.divide(col_eu, z_all, out=col_eu), q_v, out=q_v)
     else:
         value = _softmax_value(kind, n, float(np.mean(diag)), np.log(z_col), np.log(z_row), None)
-        # q = ds @ [e_v, 1] and ds.T @ [e_u, 1] with
-        # ds = (lam_u P_col + lam_v P_row - (lam_u + lam_v) I) / 2N
-        q_u = -(lam_u + lam_v) * ev1
-        q_v = -(lam_u + lam_v) * eu1
+        # q_u and q_v with ds = (lam_u P_col + lam_v P_row - (lam_u + lam_v) I) / 2N;
+        # the column softmax's pass over the table reads [e_v, 1] before
+        # q_u takes its place
         if lam_u:
-            q_u += lam_u * (table @ (ev1 / z_col[:, None]))
-            q_v += lam_u * (col_eu / z_col[:, None])
+            np.divide(ev1, z_col[:, None], out=buf.scaled)
+            np.multiply(np.matmul(buf.table, buf.scaled, out=prod), lam_u, out=prod)
+        np.multiply(q_u, -(lam_u + lam_v), out=q_u)
+        if lam_u:
+            q_u += prod
         if lam_v:
-            q_u += lam_v * (row_ev / z_row[:, None])
-            q_v += lam_v * prow_eu
+            q_u += np.multiply(np.divide(row_ev, z_row[:, None], out=prod), lam_v, out=prod)
         q_u /= 2.0 * n
+        np.multiply(q_v, -(lam_u + lam_v), out=q_v)
+        if lam_u:
+            q_v += np.multiply(np.divide(col_eu, z_col[:, None], out=prod), lam_u, out=prod)
+        if lam_v:
+            q_v += np.multiply(prow_eu, lam_v, out=prow_eu)
         q_v /= 2.0 * n
-    cot_u = q_u[:, :k]
-    cot_v = q_v[:, :k]
-    if tilting != TILTING_INNER:
-        cot_u = cot_u - q_u[:, k:] * e_u
-        cot_v = cot_v - q_v[:, k:] * e_v
-    return value, cot_u / tau, cot_v / tau, False
+    if tilting == TILTING_INNER:
+        return value, q_u[:, :k] / tau, q_v[:, :k] / tau, False
+    cot_u = np.multiply(q_u[:, k:], e_u)
+    cot_v = np.multiply(q_v[:, k:], e_v)
+    np.subtract(q_u[:, :k], cot_u, out=cot_u)
+    np.subtract(q_v[:, :k], cot_v, out=cot_v)
+    cot_u /= tau
+    cot_v /= tau
+    return value, cot_u, cot_v, False

@@ -12,7 +12,12 @@ adam_step is the package's one Adam update and train its one loop;
 fine-tuning a label head is a train call (see crossmodal). adam_step keeps
 its moments in preallocated buffers that it updates in place, walking them
 in slices of ADAM_CHUNK entries through chunk-sized scratch, and its betas
-and epsilon are the module constants ADAM_BETAS and ADAM_EPS.
+and epsilon are the module constants ADAM_BETAS and ADAM_EPS. train keeps
+the trainable parameters of both encoders in one flat vector with one
+AdamState for the pair: each pullback writes into its slice of one reused
+gradient buffer, one adam_step per step updates both sides (Adam is
+elementwise, so the bits are those of one update per side), and each
+side's EncoderParams is a view into the new vector.
 
 A step makes one loss call, losses.score_step, whatever the variant;
 losses alone decides which path computes it. A step whose scores leave the
@@ -188,8 +193,13 @@ def train(
         raise ValueError("need at least 2 pairs")
 
     params_u, params_v = init_u, init_v
-    state_u = AdamState.zeros(params_u.theta.size)
-    state_v = AdamState.zeros(params_v.theta.size)
+    # the trainable parameters of both sides in one flat vector, u first:
+    # one Adam state, one gradient buffer and one adam_step per step
+    n_u = params_u.theta.size if spec_u.trainable else 0
+    n_v = params_v.theta.size if spec_v.trainable else 0
+    theta = np.concatenate([params_u.theta[:n_u], params_v.theta[:n_v]])
+    grad = np.empty(theta.size)
+    state = AdamState.zeros(theta.size)
     history = TrainHistory()
     lr = cfg.learning_rate
     ws: dict = {}
@@ -209,12 +219,16 @@ def train(
                 )
                 shifted_steps += shifted
                 step_losses.append(value)
-                if spec_u.trainable:
-                    theta_u, state_u = adam_step(params_u.theta, vjp_u(cot_u), state_u, lr)
-                    params_u = EncoderParams(theta_u, spec_u.shape_table())
-                if spec_v.trainable:
-                    theta_v, state_v = adam_step(params_v.theta, vjp_v(cot_v), state_v, lr)
-                    params_v = EncoderParams(theta_v, spec_v.shape_table())
+                if theta.size:
+                    if n_u:
+                        vjp_u(cot_u, out=grad[:n_u])
+                    if n_v:
+                        vjp_v(cot_v, out=grad[n_u:])
+                    theta, state = adam_step(theta, grad, state, lr)
+                    if n_u:
+                        params_u = EncoderParams._view(theta[:n_u], spec_u.shape_table())
+                    if n_v:
+                        params_v = EncoderParams._view(theta[n_u:], spec_v.shape_table())
             except (NonFiniteGradient, ValueError) as exc:
                 raise type(exc)(f"epoch {epoch}, step {step}: {exc}") from exc
         history.losses.append(float(np.mean(step_losses)))

@@ -89,6 +89,14 @@ class TestClassify:
             preds = {classify(q, labels, tau)[0] for tau in (0.01, 1.0, 100.0)}
             assert len(preds) == 1
 
+    @pytest.mark.parametrize("tau", [-1.0, -1e-9, 0.0, -0.0, float("nan")])
+    def test_rejects_non_positive_tau(self, tau):
+        # a negative tau would rank the argmax label last in probs, and a
+        # zero tau would make probs nan
+        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="tau must be positive"):
+            classify([0.9, 0.3], labels, tau)
+
 
 def recall_at_k_loop(queries, truth_ids, index, k):
     """Recall by a stable argsort of each query's scores."""

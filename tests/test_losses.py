@@ -634,11 +634,51 @@ class TestScoreStep:
         e_u, e_v = unit_rows(13, 40, 2)
         ws = {}
         first = losses.score_step(LossKind("joint"), e_u, e_v, "inner_product", 1.0, ws)
-        table = ws[40]
+        (key,) = ws
+        assert key == (40, 2, "inner_product", False, False)
+        table = ws[key].table
         again = losses.score_step(LossKind("joint"), e_u, e_v, "inner_product", 1.0, ws)
-        assert ws[40] is table
+        assert list(ws) == [key] and ws[key].table is table
         assert first[0] == again[0]
         np.testing.assert_array_equal(first[1], again[1])
+
+    def test_shared_workspace_matches_fresh_calls(self):
+        # one ws across interleaved calls, as in a training run whose full
+        # batches and shorter tail share it: every call equals a call with
+        # a fresh workspace, bit for bit, and no result aliases a buffer
+        # that a later call refills
+        kinds = [
+            LossKind("clip"),
+            LossKind("cond"),
+            LossKind("cond", 1.0, 0.0),
+            LossKind("cond", 0.0, 1.0),
+            LossKind("joint"),
+        ]
+        cases = [
+            (kind, tilting, n, n_e)
+            for kind in kinds
+            for tilting in ("inner_product", "l2_distance")
+            for n in (4 * BLOCK, 32)
+            for n_e in (1, 5)
+        ]
+        order = SeededRng(17).permutation(len(cases))
+        ws, kept = {}, []
+        for rep in range(2):
+            for i in order:
+                kind, tilting, n, n_e = cases[i]
+                e_u, e_v = embedding_rows(100 * rep + int(i), n, n_e)
+                value, cot_u, cot_v, shifted = losses.score_step(kind, e_u, e_v, tilting, 0.7, ws)
+                want = losses.score_step(kind, e_u, e_v, tilting, 0.7, {})
+                assert value == want[0] and not shifted and not want[3]
+                np.testing.assert_array_equal(cot_u, want[1])
+                np.testing.assert_array_equal(cot_v, want[2])
+                kept.append((cot_u, cot_v, want[1], want[2]))
+        # one workspace per (softmax flags, tilting, N, n_e); clip and
+        # cond(1, 1) need both softmaxes, so they share theirs
+        assert len(ws) == 4 * 2 * 2 * 2
+        for got_u, got_v, want_u, want_v in kept:
+            np.testing.assert_array_equal(got_u, want_u)
+            np.testing.assert_array_equal(got_v, want_v)
 
     @pytest.mark.parametrize(
         "kind, tilting, n, row, entry, tau",

@@ -194,6 +194,123 @@ class TestChunkedAdam:
             adam_step(np.zeros(n), grad, AdamState.zeros(n), 1e-2)
 
 
+def two_adam_reference(cfg, data, spec_u, spec_v, init_u, init_v):
+    """train's loop with one AdamState and one adam_step per trainable side;
+    returns (theta_u, theta_v, epoch losses)."""
+    specs, params = (spec_u, spec_v), [init_u, init_v]
+    batches = [np.asarray(x, dtype=np.float64) for x in (data.u, data.v)]
+    states = [AdamState.zeros(p.theta.size) for p in params]
+    ws, epoch_losses = {}, []
+    for epoch in range(cfg.epochs):
+        step_losses = []
+        for idx in epoch_batches(batches[0].shape[0], cfg.batch_size, cfg.seed, epoch):
+            (e_u, vjp_u), (e_v, vjp_v) = (
+                encoders.encode_with_vjp(spec, p, x[idx])
+                for spec, p, x in zip(specs, params, batches)
+            )
+            value, cot_u, cot_v, _ = losses.score_step(
+                cfg.loss, e_u, e_v, cfg.tilting, cfg.tau, ws, batches[0][idx], batches[1][idx]
+            )
+            step_losses.append(value)
+            for side, (vjp, cot) in enumerate(((vjp_u, cot_u), (vjp_v, cot_v))):
+                if specs[side].trainable:
+                    theta, states[side] = adam_step(
+                        params[side].theta, vjp(cot), states[side], cfg.learning_rate
+                    )
+                    params[side] = encoders.EncoderParams(theta, specs[side].shape_table())
+        epoch_losses.append(float(np.mean(step_losses)))
+    return params[0].theta, params[1].theta, epoch_losses
+
+
+def encoder_pair(name):
+    """(data, spec_u, spec_v, init_u, init_v, loss) for a named pair; 100
+    rows, so batches of 16 leave a 4-row tail."""
+    rng = SeededRng(31)
+    if name == "linear-linear":
+        u = rng.split(0).standard_normal((100, 3))
+        v = u[:, :2] + 0.5 * rng.split(1).standard_normal((100, 2))
+        specs = encoders.linear_spec(3, 2), encoders.linear_spec(2, 2)
+        inits = [encoders.init_params(spec, rng.split(2, i)) for i, spec in enumerate(specs)]
+        return SimpleNamespace(u=u, v=v), *specs, *inits, LossKind("cond", 1.3, 0.6)
+    if name == "frozen_table-mlp":
+        u = np.arange(100.0)[:, None] % 12
+        v = rng.split(0).standard_normal((100, 4)) + u / 6.0
+        spec_u = encoders.frozen_table_spec(12, 3, normalized=True)
+        spec_v = encoders.mlp_spec([4, 8, 3], activation="tanh", normalized=True)
+        init_u = encoders.params_from_table(spec_u, rng.split(1).standard_normal((12, 3)))
+        init_v = encoders.init_params(spec_v, rng.split(2))
+        return SimpleNamespace(u=u, v=v), spec_u, spec_v, init_u, init_v, LossKind("joint")
+    # the label-head fine-tune of crossmodal: a linear label table on one-hot
+    # label rows against frozen rows [e_i, 1]
+    labels = np.arange(100) % 4
+    rows = np.hstack([rng.split(0).standard_normal((100, 2)), np.ones((100, 1))])
+    spec_u = encoders.linear_spec(4, 3)
+    spec_v = encoders.frozen_table_spec(100, 3)
+    init_u = encoders.init_params(spec_u, rng.split(1))
+    init_v = encoders.params_from_table(spec_v, rows)
+    data = SimpleNamespace(u=np.eye(4)[labels], v=np.arange(100.0)[:, None])
+    return data, spec_u, spec_v, init_u, init_v, LossKind("cond", 2.0, 0.0)
+
+
+ENCODER_PAIRS = ["linear-linear", "frozen_table-mlp", "label_table-frozen_table"]
+
+
+class TestOneAdamForThePair:
+    """train keeps both sides' trainable parameters in one vector with one
+    AdamState; Adam is elementwise, so that is bitwise two updates."""
+
+    @pytest.mark.parametrize("tilting", encoders.TILTINGS)
+    @pytest.mark.parametrize("pair", ENCODER_PAIRS)
+    def test_matches_one_adam_state_per_side_bitwise(self, pair, tilting):
+        data, spec_u, spec_v, init_u, init_v, loss = encoder_pair(pair)
+        cfg = small_config(epochs=3, batch_size=16, tau=0.5, loss=loss, tilting=tilting)
+        out_u, out_v, hist = train(cfg, data, spec_u, spec_v, init_u, init_v)
+        want_u, want_v, want_losses = two_adam_reference(cfg, data, spec_u, spec_v, init_u, init_v)
+        assert np.array_equal(out_u.theta, want_u)
+        assert np.array_equal(out_v.theta, want_v)
+        assert hist.losses == want_losses
+        for spec, init, out in ((spec_u, init_u, out_u), (spec_v, init_v, out_v)):
+            assert spec.trainable != np.array_equal(out.theta, init.theta)
+
+    @pytest.mark.parametrize(
+        "pair, side",
+        [
+            pytest.param(pair, side, id=f"{pair}-{'uv'[side]}")
+            for pair, side in (
+                ("linear-linear", 0),
+                ("linear-linear", 1),
+                ("frozen_table-mlp", 1),
+                ("label_table-frozen_table", 0),
+            )
+        ],
+    )
+    def test_nan_gradient_on_either_side_names_epoch_and_step(self, monkeypatch, pair, side):
+        data, spec_u, spec_v, init_u, init_v, loss = encoder_pair(pair)
+        cfg = small_config(epochs=2, batch_size=16, loss=loss)
+        steps = len(epoch_batches(100, 16, cfg.seed, 0))
+        poisoned_call = 2 * (steps + 2) + side  # epoch 1, step 2
+        calls = iter(range(10**6))
+        encode_with_vjp = training.encode_with_vjp
+
+        def poisoning(spec, params, batch):
+            e, vjp = encode_with_vjp(spec, params, batch)
+            if next(calls) != poisoned_call:
+                return e, vjp
+
+            def nan_vjp(cotangent, out=None):
+                grad = vjp(cotangent, out=out)
+                grad[-1] = np.nan
+                return grad
+
+            return e, nan_vjp
+
+        monkeypatch.setattr(training, "encode_with_vjp", poisoning)
+        with pytest.raises(
+            NonFiniteGradient, match="^epoch 1, step 2: gradient contains nan or inf$"
+        ):
+            train(cfg, data, spec_u, spec_v, init_u, init_v)
+
+
 class TestTrainLoop:
     def test_loss_decreases_on_easy_problem(self):
         data = toy_data(0, 256)

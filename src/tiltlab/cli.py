@@ -523,11 +523,12 @@ def _run_lagrangian(plan: RunPlan):
     init_v = encoders.init_params(spec_v, root.split(10, 0))
     train_view = datagen.PairedDataset(u=np.arange(n_train, dtype=np.float64)[:, None], v=feats[:n_train])
     test_ids = np.arange(n_train, n_total)
+    # the frozen coefficient side embeds the same way every epoch
+    e_u = encoders.encode(spec_u, params_u, test_ids[:, None].astype(np.float64))
+    idx_u = crossmodal.build_index(e_u, test_ids.tolist(), normalized=True)
 
     def recalls(params_v) -> dict:
-        e_u = encoders.encode(spec_u, params_u, test_ids[:, None].astype(np.float64))
         e_v = encoders.encode(spec_v, params_v, feats[n_train:])
-        idx_u = crossmodal.build_index(e_u, test_ids.tolist(), normalized=True)
         idx_v = crossmodal.build_index(e_v, test_ids.tolist(), normalized=True)
         ranks = {
             "traj_to_coeff": crossmodal.true_ranks(e_v, test_ids.tolist(), idx_u),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadMagic, CountMismatch, TruncatedFile
 from .gaussian import BlockGaussian
-from .linalg import chol_sample
+from .linalg import chol_sample, cholesky_pd
 from .rng import SeededRng
 
 TWO_PI = 2.0 * np.pi
@@ -25,12 +25,14 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class PairedDataset:
+    """Paired sample rows, stored C-contiguous for training's row gathers."""
+
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.atleast_2d(np.asarray(self.u, dtype=np.float64))
-        v = np.atleast_2d(np.asarray(self.v, dtype=np.float64))
+        u = np.ascontiguousarray(np.atleast_2d(self.u), dtype=np.float64)
+        v = np.ascontiguousarray(np.atleast_2d(self.v), dtype=np.float64)
         if u.shape[0] != v.shape[0]:
             raise ValueError("u and v must pair up row for row")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
@@ -57,10 +59,8 @@ class GpConfig:
     points with iid observation noise; the second modality keeps the first
     n_coeffs KL coefficients raw (the basis-normalization constant is left
     in the eigenfunctions, and the empirical-covariance pathway downstream
-    is insensitive to that convention). gp_modality_pair draws the KL
-    coefficients in stream order, in row blocks filled into one reused
-    buffer; the pairs are those of the whole draw, without holding its
-    n x n_modes matrix."""
+    is insensitive to that convention). gp_modality_pair draws each pair
+    from n_coeffs + grid_points normals, never the n_modes coefficients."""
 
     tau_inv_length: float = 3.0
     alpha: float = 2.0
@@ -106,42 +106,23 @@ def gp_analytic_blocks(cfg: GpConfig) -> BlockGaussian:
     )
 
 
-# most rows of KL coefficients held at once by gp_modality_pair, in its one
-# reused buffer
-GP_BLOCK_ROWS = 256
-
-
 def gp_modality_pair(cfg: GpConfig, n: int, rng: SeededRng) -> PairedDataset:
-    """n pairs u = xi @ phi.T + noise_sigma * noise, v = xi[:, :n_coeffs],
-    with xi (n x n_modes) and then noise (n x grid_points) drawn in that
-    stream order.
-
-    xi is drawn and used in row blocks of at most GP_BLOCK_ROWS rows, each
-    filled in place into one reused buffer, so the whole n x n_modes draw is
-    never held; consecutive draws continue one stream, so the coefficients
-    are those of the whole draw. The blocks are near-equal (edges at
-    n * i // n_blocks): a short tail block can take another BLAS path and
-    move u in the last bit, which equal blocks avoid.
+    """n pairs drawn from the exact law of (field values + noise, leading KL
+    coefficients) under the n_modes truncation, from one (n, n_coeffs +
+    grid_points) standard-normal draw xi: v = xi[:, :n_coeffs] and
+    u = xi @ [phi[:, :n_coeffs], L].T, where L is the Cholesky factor of
+    phi_tail phi_tail^T + noise_sigma^2 I, the covariance of the trailing
+    modes plus the noise, which is independent of v. One product writes u,
+    so the draw holds no n x grid_points temporary.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     phi = gp_design_matrix(cfg)
-    u = np.empty((n, cfg.grid_points))
-    v = np.empty((n, cfg.n_coeffs))
-    n_blocks = -(-n // GP_BLOCK_ROWS)
-    buf = np.empty((-(-n // n_blocks), cfg.n_modes))
-    for i in range(n_blocks):
-        lo, hi = n * i // n_blocks, n * (i + 1) // n_blocks
-        xi = rng.standard_normal(out=buf[: hi - lo])
-        np.matmul(xi, phi.T, out=u[lo:hi])
-        v[lo:hi] = xi[:, : cfg.n_coeffs]
-    # drop the buffer and scale the noise in place: the tail then holds
-    # only u, v and the noise, below the peak of the loop
-    del xi, buf
-    noise = rng.standard_normal((n, cfg.grid_points))
-    noise *= cfg.noise_sigma
-    u += noise
-    return PairedDataset(u=u, v=v)
+    head, tail = phi[:, : cfg.n_coeffs], phi[:, cfg.n_coeffs :]
+    chol = cholesky_pd(tail @ tail.T + cfg.noise_sigma**2 * np.eye(cfg.grid_points))
+    xi = rng.standard_normal((n, cfg.n_coeffs + cfg.grid_points))
+    u = xi @ np.hstack([head, chol]).T
+    return PairedDataset(u=u, v=xi[:, : cfg.n_coeffs])
 
 
 @dataclass(frozen=True)
@@ -254,10 +235,11 @@ def _powers(z: np.ndarray, m: int) -> list:
     return [np.conj(p) for p in up[:0:-1]] + up
 
 
-def _velocity(psi: np.ndarray, omega: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
+def _velocity(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Skew-gradient w = (-d2 psi, d1 psi) of the streamfunction
     Re sum_k psi_k e^{i phi_k}, phi_k = omega_k t + 2 pi k.x, at positions x
-    (B x 2), for mode grids from _mode_grid.
+    (B x 2), for the phased mode grid a = psi e^{i omega t} (see
+    _mode_grid).
 
     The phase factorises as e^{i phi_k} = e^{i omega_k t} z1^k1 z2^k2 with
     z = e^{2 pi i x}, so exp is taken for the K mode phases and the 2B
@@ -267,9 +249,12 @@ def _velocity(psi: np.ndarray, omega: np.ndarray, t: float, x: np.ndarray) -> np
     reproduces every float op of a larger batch's row. Against the direct
     sum of per-mode exps only rounding moves (about 1e-14 relative).
     """
-    m = psi.shape[1] // 2
-    a = psi * np.exp(1j * t * omega)
-    z = np.exp(1j * TWO_PI * x)
+    m = a.shape[1] // 2
+    # z = e^{2 pi i x} from cos and sin: the complex exp's bits, in less time
+    theta = TWO_PI * x
+    z = np.empty(x.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
     z1 = _powers(z[:, 0], m)
     z2 = _powers(z[:, 1], m)
     # c[b, k1] = sum_k2 a z2^k2 and c2[b, k1] = sum_k2 k2 a z2^k2
@@ -281,7 +266,7 @@ def _velocity(psi: np.ndarray, omega: np.ndarray, t: float, x: np.ndarray) -> np
         c += hi + lo
         c2 += j * (hi - lo)
     # s1 = Im sum_k1 k1 z1^k1 c and s2 = Im sum_k1 z1^k1 c2
-    s1 = np.zeros(psi.shape[0])
+    s1 = np.zeros(a.shape[0])
     s2 = c2[:, m].imag.copy()
     for j in range(1, m + 1):
         s1 += j * (z1[m + j] * c[:, m + j] - z1[m - j] * c[:, m - j]).imag
@@ -296,7 +281,8 @@ def velocity_eval(coeffs, cfg: FlowConfig, t: float, x) -> np.ndarray:
     psi = real_to_coeffs(coeffs).reshape(1, -1)
     if psi.shape[1] != cfg.k_count:
         raise ValueError(f"expected {cfg.k_count} complex coefficients")
-    return _velocity(*_mode_grid(psi, cfg), float(t), x)[0]
+    grid, omega = _mode_grid(psi, cfg)
+    return _velocity(grid * np.exp(1j * float(t) * omega), x)[0]
 
 
 def _integrate(psi: np.ndarray, cfg: FlowConfig) -> np.ndarray:
@@ -310,11 +296,15 @@ def _integrate(psi: np.ndarray, cfg: FlowConfig) -> np.ndarray:
     rec = 0
     for step in range(1, cfg.steps + 1):
         t0 = (step - 1) * dt
-        ka = _velocity(grid, omega, t0, x)
-        kb = _velocity(grid, omega, t0 + 0.5 * dt, x + 0.5 * dt * ka)
-        kc = _velocity(grid, omega, t0 + 0.5 * dt, x + 0.5 * dt * kb)
-        kd = _velocity(grid, omega, t0 + dt, x + dt * kc)
-        x = (x + (dt / 6.0) * (ka + 2.0 * kb + 2.0 * kc + kd)) % 1.0
+        half = grid * np.exp(1j * (t0 + 0.5 * dt) * omega)
+        ka = _velocity(grid * np.exp(1j * t0 * omega), x)
+        kb = _velocity(half, x + 0.5 * dt * ka)
+        kc = _velocity(half, x + 0.5 * dt * kb)
+        kd = _velocity(grid * np.exp(1j * (t0 + dt) * omega), x + dt * kc)
+        x = x + (dt / 6.0) * (ka + 2.0 * kb + 2.0 * kc + kd)
+        # x - floor(x) has the bits of x % 1.0 for every finite x, in a
+        # tenth of the time
+        x -= np.floor(x)
         if not np.all(np.isfinite(x)):
             raise ValueError(f"non-finite trajectory state at step {step}")
         if step % cfg.record_stride == 0:

@@ -142,6 +142,11 @@ def _axis_lse_softmax(arr: np.ndarray, axis: int | None):
     return lse, e
 
 
+def _mean(x: np.ndarray) -> float:
+    # np.mean's one sum and one division, without its dispatch: the same bits
+    return float(x.sum()) / x.size
+
+
 # The value formulas, shared by the score-table functions below and by
 # score_step. diag_mean is the mean positive score; lse_col[j] and lse_row[i]
 # are the log partition sums of column j and row i, lse_neg that of a whole
@@ -149,15 +154,15 @@ def _axis_lse_softmax(arr: np.ndarray, axis: int | None):
 
 
 def _clip_value(diag_mean: float, lse_col: np.ndarray, lse_row: np.ndarray) -> float:
-    return 0.5 * (float(np.mean(lse_col)) + float(np.mean(lse_row))) - diag_mean
+    return 0.5 * (_mean(lse_col) + _mean(lse_row)) - diag_mean
 
 
 def _cond_value(
     diag_mean: float, lse_col: np.ndarray, lse_row: np.ndarray, lam_u: float, lam_v: float
 ) -> float:
     logn = np.log(lse_col.size)
-    term_u = diag_mean - (float(np.mean(lse_col)) - logn)
-    term_v = diag_mean - (float(np.mean(lse_row)) - logn)
+    term_u = diag_mean - (_mean(lse_col) - logn)
+    term_v = diag_mean - (_mean(lse_row) - logn)
     return -0.5 * lam_u * term_u - 0.5 * lam_v * term_v
 
 
@@ -192,7 +197,7 @@ def loss_clip(s) -> float:
     arr = _square_scores(s)
     lse_col, _ = _axis_lse_softmax(arr, 0)
     lse_row, _ = _axis_lse_softmax(arr, 1)
-    return _clip_value(float(np.mean(np.diag(arr))), lse_col, lse_row)
+    return _clip_value(_mean(np.diag(arr)), lse_col, lse_row)
 
 
 def loss_cond(s, lam_u: float, lam_v: float) -> float:
@@ -200,7 +205,7 @@ def loss_cond(s, lam_u: float, lam_v: float) -> float:
     arr = _square_scores(s)
     lse_col, _ = _axis_lse_softmax(arr, 0)
     lse_row, _ = _axis_lse_softmax(arr, 1)
-    return _cond_value(float(np.mean(np.diag(arr))), lse_col, lse_row, lam_u, lam_v)
+    return _cond_value(_mean(np.diag(arr)), lse_col, lse_row, lam_u, lam_v)
 
 
 def loss_joint(s_pos, s_neg) -> float:
@@ -214,7 +219,7 @@ def loss_joint(s_pos, s_neg) -> float:
     if pos.size < 2:
         raise ValueError("need at least 2 positive scores")
     lse_neg, _ = _axis_lse_softmax(neg, None)
-    return _joint_value(float(np.mean(pos)), lse_neg, neg.size)
+    return _joint_value(_mean(pos), lse_neg, neg.size)
 
 
 def mmd_unbiased(x, y, k: Kernel) -> float:
@@ -364,7 +369,7 @@ def loss_value_and_grad(kind: LossKind, s, u_batch=None, v_batch=None):
     arr = _square_scores(s)
     n = arr.shape[0]
     if kind.variant in SOFTMAX_VARIANTS:
-        diag_mean = float(np.mean(np.diag(arr)))
+        diag_mean = _mean(np.diag(arr))
         if kind.variant == "joint":
             lse_all, ds = _axis_lse_softmax(arr, None)
             ds[np.diag_indices(n)] -= 1.0 / n
@@ -414,6 +419,9 @@ class _StepWorkspace:
         self.rhs = np.empty((n, 2 * w if need_prow else w))
         self.eu1 = self.rhs[:, :w]
         self.ev1 = np.empty((n, w))
+        self.eu1[:, k] = self.ev1[:, k] = 1.0  # the ones columns, which no call writes
+        # q_u = ds @ [e_v, 1] and q_v = ds.T @ [e_u, 1]
+        self.q_u, self.q_v = np.empty((n, w)), np.empty((n, w))
         # the tau-scaled operands of the score table: [e_u / tau, 0] and
         # [e_v, 0] for one-column inner products (see _blas_operands), and
         # under l2_distance the bias columns [e_u / tau, -|u|^2/2tau, 1]
@@ -434,6 +442,13 @@ class _StepWorkspace:
         self.scaled = np.empty((n, w))
         self.prod = np.empty((n, w))
         self.table = np.empty((n if need_pcol else min(SCORE_BLOCK, n), n))
+
+
+def _weighted(x: np.ndarray, lam: float) -> np.ndarray:
+    # x * lam in place; a weight of 1 changes no bit, so it takes no pass
+    if lam != 1.0:
+        x *= lam
+    return x
 
 
 def score_step(
@@ -493,9 +508,7 @@ def score_step(
         buf = ws[key] = _StepWorkspace(*key)
     eu1, ev1, rhs, xu, xv = buf.eu1, buf.ev1, buf.rhs, buf.xu, buf.xv
     eu1[:, :k] = e_u
-    eu1[:, k] = 1.0
     ev1[:, :k] = e_v
-    ev1[:, k] = 1.0
     np.divide(e_u, tau, out=xu[:, :k])
     xv[:, :k] = e_v
     diag, row_ev, col_acc, col_tile = buf.diag, buf.row_ev, buf.col_acc, buf.col_tile
@@ -507,16 +520,16 @@ def score_step(
     # which _score_range and training report; numpy's warnings would only
     # repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        sq_u = np.sum(e_u**2, axis=1, keepdims=True)
-        sq_v = np.sum(e_v**2, axis=1, keepdims=True)
-        # Cauchy-Schwarz bound on |score|; the tiles need no range check below it
-        norm_u, norm_v = np.sqrt(np.max(sq_u)), np.sqrt(np.max(sq_v))
+        # Cauchy-Schwarz bound on |score|, nan for nan entries; the tiles need
+        # no range check below it. Rows of k entries are at most sqrt(k) max|e| long.
         if tilting == TILTING_INNER:
-            bound = norm_u * norm_v / tau
+            bound = k * max(e_u.max(), -e_u.min()) * max(e_v.max(), -e_v.min()) / tau
         else:
+            sq_u = np.sum(e_u**2, axis=1, keepdims=True)
+            sq_v = np.sum(e_v**2, axis=1, keepdims=True)
             np.divide(sq_u, -2.0 * tau, out=xu[:, k : k + 1])
             np.divide(sq_v, -2.0 * tau, out=xv[:, k + 1 :])
-            bound = (norm_u + norm_v) ** 2 / (2.0 * tau)
+            bound = (np.sqrt(np.max(sq_u)) + np.sqrt(np.max(sq_v))) ** 2 / (2.0 * tau)
         check_tiles = not bound < EXP_LIMIT
         for lo in range(0, n, SCORE_BLOCK):
             hi = min(lo + SCORE_BLOCK, n)
@@ -534,36 +547,30 @@ def score_step(
             col_acc += np.matmul(tile.T, rhs[lo:hi], out=col_tile)
     z_row = row_ev[:, k]
     z_col = col_eu[:, k]
-    # q_u = ds @ [e_v, 1] and q_v = ds.T @ [e_u, 1] overwrite [e_v, 1] and
-    # [e_u, 1], which the next call refills
-    q_u, q_v, prod = ev1, eu1, buf.prod
+    q_u, q_v, prod = buf.q_u, buf.q_v, buf.prod
     if joint:
         z_all = float(np.sum(z_row))
-        value = _softmax_value(kind, n, float(np.mean(diag)), None, None, np.log(z_all))
+        value = _softmax_value(kind, n, _mean(diag), None, None, np.log(z_all))
         # q_u = E @ [e_v, 1] / z_all - [e_v, 1] / N, q_v likewise
-        np.divide(q_u, n, out=q_u)
+        np.divide(ev1, n, out=q_u)
         np.subtract(np.divide(row_ev, z_all, out=row_ev), q_u, out=q_u)
-        np.divide(q_v, n, out=q_v)
+        np.divide(eu1, n, out=q_v)
         np.subtract(np.divide(col_eu, z_all, out=col_eu), q_v, out=q_v)
     else:
-        value = _softmax_value(kind, n, float(np.mean(diag)), np.log(z_col), np.log(z_row), None)
-        # q_u and q_v with ds = (lam_u P_col + lam_v P_row - (lam_u + lam_v) I) / 2N;
-        # the column softmax's pass over the table reads [e_v, 1] before
-        # q_u takes its place
+        value = _softmax_value(kind, n, _mean(diag), np.log(z_col), np.log(z_row), None)
+        # q_u and q_v with ds = (lam_u P_col + lam_v P_row - (lam_u + lam_v) I) / 2N
+        np.multiply(ev1, -(lam_u + lam_v), out=q_u)
         if lam_u:
             np.divide(ev1, z_col[:, None], out=buf.scaled)
-            np.multiply(np.matmul(buf.table, buf.scaled, out=prod), lam_u, out=prod)
-        np.multiply(q_u, -(lam_u + lam_v), out=q_u)
-        if lam_u:
-            q_u += prod
+            q_u += _weighted(np.matmul(buf.table, buf.scaled, out=prod), lam_u)
         if lam_v:
-            q_u += np.multiply(np.divide(row_ev, z_row[:, None], out=prod), lam_v, out=prod)
+            q_u += _weighted(np.divide(row_ev, z_row[:, None], out=prod), lam_v)
         q_u /= 2.0 * n
-        np.multiply(q_v, -(lam_u + lam_v), out=q_v)
+        np.multiply(eu1, -(lam_u + lam_v), out=q_v)
         if lam_u:
-            q_v += np.multiply(np.divide(col_eu, z_col[:, None], out=prod), lam_u, out=prod)
+            q_v += _weighted(np.divide(col_eu, z_col[:, None], out=prod), lam_u)
         if lam_v:
-            q_v += np.multiply(prow_eu, lam_v, out=prow_eu)
+            q_v += _weighted(prow_eu, lam_v)
         q_v /= 2.0 * n
     if tilting == TILTING_INNER:
         return value, q_u[:, :k] / tau, q_v[:, :k] / tau, False

@@ -27,11 +27,8 @@ class SeededRng:
         """Child stream at the given index path, independent of this one."""
         return SeededRng(self.seed, self.path + tuple(int(i) for i in indices))
 
-    def standard_normal(self, shape=None, out=None) -> np.ndarray:
-        """Draws of the given shape, or filled into the float64 array out
-        (the same draws, in the same stream order, as a new array of its
-        shape)."""
-        return self._gen.standard_normal(size=shape, out=out)
+    def standard_normal(self, shape=None) -> np.ndarray:
+        return self._gen.standard_normal(size=shape)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, shape=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)

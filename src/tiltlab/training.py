@@ -176,11 +176,12 @@ def train(
     """Run the full loop; returns (params_u, params_v, TrainHistory).
 
     data supplies u and v sample matrices (a PairedDataset or anything with
-    those attributes). probe, when given, is called as probe(epoch,
+    those attributes; a matrix that is not C-contiguous is copied once, as
+    each step gathers its rows). probe, when given, is called as probe(epoch,
     params_u, params_v) after each epoch and must return a dict of floats.
     """
-    u_all = np.asarray(data.u, dtype=np.float64)
-    v_all = np.asarray(data.v, dtype=np.float64)
+    u_all = np.ascontiguousarray(data.u, dtype=np.float64)
+    v_all = np.ascontiguousarray(data.v, dtype=np.float64)
     if u_all.shape[0] != v_all.shape[0]:
         raise ValueError("u and v must pair up row for row")
     if u_all.shape[1] != spec_u.n_in or v_all.shape[1] != spec_v.n_in:
@@ -203,14 +204,17 @@ def train(
     history = TrainHistory()
     lr = cfg.learning_rate
     ws: dict = {}
+    # each step gathers its batch into reused buffers; idx is in range, so
+    # "clip" moves no index and skips the bounds pass of the default mode
+    u_buf, v_buf = (np.empty((min(cfg.batch_size, n), x.shape[1])) for x in (u_all, v_all))
 
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
         step_losses = []
         shifted_steps = 0
         for step, idx in enumerate(epoch_batches(n, cfg.batch_size, cfg.seed, epoch)):
-            u_batch = u_all[idx]
-            v_batch = v_all[idx]
+            u_batch = u_all.take(idx, 0, u_buf[: idx.size], "clip")
+            v_batch = v_all.take(idx, 0, v_buf[: idx.size], "clip")
             e_u, vjp_u = encode_with_vjp(spec_u, params_u, u_batch)
             e_v, vjp_v = encode_with_vjp(spec_v, params_v, v_batch)
             try:

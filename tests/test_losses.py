@@ -57,6 +57,14 @@ class TestClipAndCond:
         want = -0.5 * 1.2 * term_u / n - 0.5 * 0.4 * term_v / n
         assert abs(losses.loss_cond(s, 1.2, 0.4) - want) < 1e-12
 
+    def test_value_means_have_the_bits_of_np_mean(self):
+        # the value formulas take their means without np.mean's dispatch;
+        # contiguous, strided and column views of one table, as score_step
+        # passes them
+        table = SeededRng(3).standard_normal((512, 12)) * 40.0
+        for x in (table[:, 0], table[:, 5], table.diagonal(), table.ravel(), table[7]):
+            assert losses._mean(x) == float(np.mean(x))
+
     def test_shift_invariance_of_cond(self):
         # adding a constant to every score leaves the conditional loss alone
         s = random_scores(2, 5)

@@ -57,12 +57,3 @@ def test_seed_range_validation():
     with pytest.raises(ValueError):
         SeededRng(2**64)
 
-
-def test_standard_normal_into_buffer_continues_the_stream():
-    buf = np.empty((3, 4))
-    a = SeededRng(13).standard_normal((6, 4))
-    rng = SeededRng(13)
-    first = rng.standard_normal(out=buf).copy()
-    second = rng.standard_normal(out=buf)
-    assert second is buf
-    np.testing.assert_array_equal(np.vstack([first, second]), a)

@@ -19,7 +19,6 @@ from .gaussian import (
     QuadraticTiltingParams,
     cond_loss_closed,
     conditional_u_given_v,
-    conditional_v_given_u,
     empirical_block_gaussian,
     exp_quadratic_expectation,
     joint_loss_closed,
@@ -36,14 +35,12 @@ from .gaussian import (
 from .encoders import (
     EncoderParams,
     EncoderSpec,
-    affine_spec,
     encode,
     encode_vjp,
     frozen_table_spec,
     init_params,
     linear_spec,
     mlp_spec,
-    one_hot_spec,
     params_from_table,
     similarity_matrix,
     similarity_vjp,
@@ -54,10 +51,7 @@ from .losses import (
     kernel_gram,
     loss_clip,
     loss_cond,
-    loss_joint,
-    loss_joint_mmd,
     loss_value_and_grad,
-    median_heuristic_bandwidth,
     mmd_unbiased,
 )
 from .training import TrainConfig, TrainHistory, adam_step, epoch_batches, train

@@ -429,12 +429,13 @@ def _run_mnist(plan: RunPlan):
         test_images, test_labels = images[-split:], labels[-split:]
         images, labels = images[:-split], labels[:-split]
 
-    # labels ride in the u slot (one-hot, frozen) so the u-given-v side of
-    # the conditional loss is exactly label cross-entropy given the image
+    # labels ride in the u slot (the frozen identity table, one-hot rows) so
+    # the u-given-v side of the conditional loss is exactly label
+    # cross-entropy given the image
     data = datagen.PairedDataset(u=labels[:, None].astype(np.float64), v=images)
-    spec_u = encoders.one_hot_spec(10)
+    spec_u = encoders.frozen_table_spec(10, 10)
     spec_v = encoders.mlp_spec([images.shape[1], plan.hidden, 10], activation="relu")
-    init_u = encoders.init_params(spec_u, SeededRng(plan.seed).split(10, 1))
+    init_u = encoders.params_from_table(spec_u, np.eye(10))
     init_v = encoders.init_params(spec_v, SeededRng(plan.seed).split(10, 0))
     # label scores are logits / tau + log pi, pi the training label counts
     # (the batch prior the (2, 0) loss trains the logits against); accuracy

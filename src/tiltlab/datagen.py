@@ -3,9 +3,11 @@ pair (pointwise field values vs leading KL coefficients), the
 Eulerian/Lagrangian flow pair with a smooth feature chart for its
 trajectories, and MNIST IDX ingestion.
 
-Every generator is a pure function of (config, rng); independent samples use
-split RNG streams keyed by sample index, so batch generation is row-for-row
-bit-identical to generating each sample alone from its own stream.
+Every generator is a pure function of (config, rng). lagrangian_dataset
+draws sample i from the split stream rng.split(i), so each row is bit-identical
+to generating that sample alone from its own stream. The Gaussian samplers
+(sample_block_gaussian, gp_modality_pair) read one stream in row order, so a
+draw of n rows is bit-identical to the first n rows of any longer draw.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import BadMagic, CountMismatch, TruncatedFile
 from .gaussian import BlockGaussian
-from .linalg import chol_sample, cholesky_pd
+from .linalg import chol_sample, cholesky_pd, rowwise_matmul
 from .rng import SeededRng
 
 TWO_PI = 2.0 * np.pi
@@ -121,7 +123,7 @@ def gp_modality_pair(cfg: GpConfig, n: int, rng: SeededRng) -> PairedDataset:
     head, tail = phi[:, : cfg.n_coeffs], phi[:, cfg.n_coeffs :]
     chol = cholesky_pd(tail @ tail.T + cfg.noise_sigma**2 * np.eye(cfg.grid_points))
     xi = rng.standard_normal((n, cfg.n_coeffs + cfg.grid_points))
-    u = xi @ np.hstack([head, chol]).T
+    u = rowwise_matmul(xi, np.hstack([head, chol]).T)
     return PairedDataset(u=u, v=xi[:, : cfg.n_coeffs])
 
 

@@ -1,11 +1,11 @@
 """Encoder families, tilting similarity matrices, and exact VJPs.
 
-Five families. linear, affine and mlp are one dense chain: layer i maps x
-to W_i x + b_i and every layer but the last applies the activation (relu or
-tanh); linear has no biases and affine is one layer with a bias. one_hot
-(class index to standard basis vector, parameter-free) and frozen_table
-(row lookup into a fixed embedding table; the table lives in the parameter
-vector but is never updated by training) are index lookups.
+Three families. linear and mlp are one dense chain: layer i maps x to
+W_i x + b_i and every layer but the last applies the activation (relu or
+tanh); linear is one layer without a bias. frozen_table is an index lookup:
+row i of a fixed embedding table, which lives in the parameter vector but is
+never updated by training. A label side is the identity table,
+params_from_table(frozen_table_spec(K, K), np.eye(K)).
 
 All parameters travel as one flat float64 vector next to a per-layer shape
 table, so the optimizer is family-agnostic. One private forward pass checks
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ZeroNormRow
 from .rng import SeededRng
 
-FAMILIES = ("linear", "affine", "mlp", "one_hot", "frozen_table")
+FAMILIES = ("linear", "mlp", "frozen_table")
 ACTIVATIONS = ("relu", "tanh")
 TILTING_INNER = "inner_product"
 TILTING_L2 = "l2_distance"
@@ -38,8 +38,8 @@ TILTINGS = (TILTING_INNER, TILTING_L2)
 class EncoderSpec:
     """Architecture description. dims is family-dependent:
 
-    linear/affine: (n_in, n_e); mlp: full layer size chain (n_in, ..., n_e);
-    one_hot: (n_classes,); frozen_table: (n_items, n_e).
+    linear: (n_in, n_e); mlp: full layer size chain (n_in, ..., n_e);
+    frozen_table: (n_items, n_e).
     """
 
     family: str
@@ -53,17 +53,14 @@ class EncoderSpec:
         dims = tuple(int(d) for d in self.dims)
         if any(d <= 0 for d in dims):
             raise ValueError(f"layer sizes must be positive, got {dims}")
-        expected = {"linear": 2, "affine": 2, "one_hot": 1, "frozen_table": 2}
         if self.family == "mlp":
             if len(dims) < 2:
                 raise ValueError("mlp needs at least input and output sizes")
             if self.activation not in ACTIVATIONS:
                 raise ValueError(f"mlp activation must be one of {ACTIVATIONS}")
         else:
-            if len(dims) != expected[self.family]:
-                raise ValueError(
-                    f"{self.family} takes {expected[self.family]} dims, got {len(dims)}"
-                )
+            if len(dims) != 2:
+                raise ValueError(f"{self.family} takes 2 dims, got {len(dims)}")
             if self.activation is not None:
                 raise ValueError(f"{self.family} takes no activation")
         object.__setattr__(self, "dims", dims)
@@ -71,19 +68,17 @@ class EncoderSpec:
 
     @property
     def n_in(self) -> int:
-        if self.family in ("one_hot", "frozen_table"):
+        if self.family == "frozen_table":
             return 1  # a single index column
         return self.dims[0]
 
     @property
     def n_e(self) -> int:
-        if self.family == "one_hot":
-            return self.dims[0]
         return self.dims[-1]
 
     @property
     def trainable(self) -> bool:
-        return self.family not in ("one_hot", "frozen_table")
+        return self.family != "frozen_table"
 
     def shape_table(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """(name, shape) of each parameter block, in flat-vector order. The
@@ -94,8 +89,6 @@ class EncoderSpec:
     def _build_shape_table(self):
         if self.family == "frozen_table":
             return (("table", self.dims),)
-        if self.family == "one_hot":
-            return ()
         table = []
         for i, (n_in, n_out) in enumerate(zip(self.dims, self.dims[1:])):
             table.append((f"w{i}", (n_out, n_in)))
@@ -111,16 +104,8 @@ def linear_spec(n_in: int, n_e: int, normalized: bool = False) -> EncoderSpec:
     return EncoderSpec("linear", (n_in, n_e), normalized=normalized)
 
 
-def affine_spec(n_in: int, n_e: int, normalized: bool = False) -> EncoderSpec:
-    return EncoderSpec("affine", (n_in, n_e), normalized=normalized)
-
-
 def mlp_spec(layer_sizes, activation: str = "relu", normalized: bool = False) -> EncoderSpec:
     return EncoderSpec("mlp", tuple(layer_sizes), activation=activation, normalized=normalized)
-
-
-def one_hot_spec(n_classes: int) -> EncoderSpec:
-    return EncoderSpec("one_hot", (n_classes,))
 
 
 def frozen_table_spec(n_items: int, n_e: int, normalized: bool = False) -> EncoderSpec:
@@ -181,7 +166,6 @@ def init_params(spec: EncoderSpec, rng: SeededRng) -> EncoderParams:
         raise ValueError("frozen_table rows are prescribed; use params_from_table")
     theta = np.empty(spec.n_params())
     blocks = _blocks(theta, spec.shape_table())
-    # one_hot's single dim gives no layer and an empty vector
     for layer in range(len(spec.dims) - 1):
         bound = 1.0 / np.sqrt(spec.dims[layer])
         for name in (f"w{layer}", f"b{layer}"):
@@ -199,11 +183,11 @@ def params_from_table(spec: EncoderSpec, rows) -> EncoderParams:
     return EncoderParams(rows.ravel(), spec.shape_table())
 
 
-def _indices(spec: EncoderSpec, batch: np.ndarray, limit: int) -> np.ndarray:
+def _indices(batch: np.ndarray, limit: int) -> np.ndarray:
     idx = batch[:, 0]
     rounded = np.round(idx)
     if not np.all(np.abs(idx - rounded) < 1e-9):
-        raise ValueError(f"{spec.family} batch entries must be integral indices")
+        raise ValueError("frozen_table batch entries must be integral indices")
     idx = rounded.astype(np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= limit):
         raise ValueError(f"index out of range [0, {limit})")
@@ -231,12 +215,8 @@ def _forward(spec: EncoderSpec, params: EncoderParams, batch):
     if params.shapes != spec.shape_table():
         raise ValueError("params do not belong to this spec")
     weights = params.unflatten()
-    if spec.family == "one_hot":
-        cache = _indices(spec, batch, spec.n_e)
-        out = np.zeros((batch.shape[0], spec.n_e))
-        out[np.arange(cache.size), cache] = 1.0
-    elif spec.family == "frozen_table":
-        cache = _indices(spec, batch, spec.dims[0])
+    if spec.family == "frozen_table":
+        cache = _indices(batch, spec.dims[0])
         out = weights["table"][cache]
     else:
         # the dense chain; cache each layer's input and weight
@@ -261,9 +241,8 @@ def encode_with_vjp(spec: EncoderSpec, params: EncoderParams, batch):
     The pullback reuses the forward pass and writes the gradient into out
     when given (a float64 vector of the parameter count, which training
     passes as its slice of one gradient buffer), else into a new vector.
-    one_hot has no parameters (empty gradient). frozen_table gets the true
-    table gradient (scatter-added over rows); callers that treat the table
-    as frozen simply never apply it.
+    frozen_table gets the true table gradient (scatter-added over rows);
+    callers that treat the table as frozen simply never apply it.
     """
     e, cache, norms = _forward(spec, params, batch)
 
@@ -272,8 +251,6 @@ def encode_with_vjp(spec: EncoderSpec, params: EncoderParams, batch):
         if cot.shape != e.shape:
             raise ValueError(f"cotangent shape {cot.shape}, expected {e.shape}")
         grad = np.empty(params.theta.size) if out is None else out
-        if spec.family == "one_hot":
-            return grad
         if norms is not None:
             cot = (cot - e * np.sum(cot * e, axis=1, keepdims=True)) / norms[:, None]
         if spec.family == "frozen_table":

@@ -124,10 +124,6 @@ def conditional_u_given_v(g: BlockGaussian) -> GaussianConditionalMap:
     return GaussianConditionalMap(gain=gain, cov=0.5 * (cov + cov.T))
 
 
-def conditional_v_given_u(g: BlockGaussian) -> GaussianConditionalMap:
-    return conditional_u_given_v(g.swapped())
-
-
 def cond_loss_closed(a: np.ndarray, g: BlockGaussian) -> float:
     """Population conditional loss of the linear tilting, constants dropped.
 

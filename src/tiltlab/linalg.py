@@ -98,7 +98,17 @@ def chol_sample(mean: np.ndarray, cov: np.ndarray, n: int, rng: SeededRng) -> np
     if mean.shape[0] != chol.shape[0]:
         raise ValueError("mean length does not match covariance dimension")
     z = rng.standard_normal((int(n), mean.shape[0]))
-    return mean[None, :] + z @ chol.T
+    return mean[None, :] + rowwise_matmul(z, chol.T)
+
+
+def rowwise_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y, with a one-row x on the BLAS path of a longer one. numpy sends
+    a one-row product down another path, whose bits differ, so a one-row x
+    is padded to two rows and row 0 kept. The Gaussian samplers use it so
+    that a short draw is the head of a long one."""
+    if x.shape[0] == 1:
+        return (np.vstack([x, x]) @ y)[:1]
+    return x @ y
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

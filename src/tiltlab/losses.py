@@ -25,8 +25,8 @@ The joint MMD compares the paired batch with all N^2 pairings (u_i, v_j)
 but never forms them: the kernel on stacked pairs is a sum of Kronecker
 products of N x N Grams on u and on v (_joint_kernel_terms), so every term
 is an N x N matrix product. The N^2 x N^2 product-batch form survives only
-as the test oracle. cond_mmd_from_grams and the batch-level wrapper
-loss_joint_mmd evaluate a loss without a training step.
+as the test oracle. loss_value_and_grad evaluates any loss on an explicit
+score matrix without a training step.
 """
 
 from __future__ import annotations
@@ -99,31 +99,14 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.clip(sq, 0.0, None, out=sq)
 
 
-def median_heuristic_bandwidth(x, y=None) -> float:
-    """Median pairwise distance of the pooled sample; 1.0 if degenerate."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    pooled = x if y is None else np.vstack([x, np.atleast_2d(np.asarray(y, dtype=np.float64))])
-    sq = _sq_dists(pooled, pooled)
-    d = np.sqrt(sq[np.triu_indices_from(sq, k=1)])
-    if d.size == 0:
-        return 1.0
-    med = float(np.median(d))
-    return med if med > 0 else 1.0
-
-
-def _scores(s) -> np.ndarray:
+def _square_scores(s) -> np.ndarray:
     arr = np.asarray(s, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("score matrix must be 2-d")
-    return arr
-
-
-def _square_scores(s, min_n: int = 2) -> np.ndarray:
-    arr = _scores(s)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"score matrix must be square, got {arr.shape}")
-    if arr.shape[0] < min_n:
-        raise ValueError(f"need a batch of at least {min_n}")
+    if arr.shape[0] < 2:
+        raise ValueError("need a batch of at least 2")
     return arr
 
 
@@ -208,20 +191,6 @@ def loss_cond(s, lam_u: float, lam_v: float) -> float:
     return _cond_value(_mean(np.diag(arr)), lse_col, lse_row, lam_u, lam_v)
 
 
-def loss_joint(s_pos, s_neg) -> float:
-    """-mean(positive scores) + log mean exp(negative scores).
-
-    s_neg holds the scores of a product-measure batch (typically all N^2
-    pairings of a paired batch, diagonal included).
-    """
-    pos = np.asarray(s_pos, dtype=np.float64).reshape(-1)
-    neg = _scores(s_neg)
-    if pos.size < 2:
-        raise ValueError("need at least 2 positive scores")
-    lse_neg, _ = _axis_lse_softmax(neg, None)
-    return _joint_value(_mean(pos), lse_neg, neg.size)
-
-
 def mmd_unbiased(x, y, k: Kernel) -> float:
     """Unbiased squared MMD with the i != j exclusion on all three terms
     (cross term included), which requires equally sized samples."""
@@ -293,18 +262,6 @@ def _cond_mmd(s, k_u, k_v, lam_u: float, lam_v: float) -> tuple[float, np.ndarra
     return float(val), g
 
 
-def cond_mmd_from_grams(s, k_u: np.ndarray, k_v: np.ndarray, lam_u: float, lam_v: float) -> float:
-    """Conditional MMD loss from explicit Gram matrices and a score matrix."""
-    return _cond_mmd(s, k_u, k_v, lam_u, lam_v)[0]
-
-
-def joint_mmd_weights(scores) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    if np.all(np.isneginf(scores)):
-        raise ValueError("degenerate weights: all scores are -inf")
-    return _axis_lse_softmax(scores, None)[1]
-
-
 def _joint_kernel_terms(k: Kernel, u: np.ndarray, v: np.ndarray):
     """The kernel on stacked pairs (u, v) as sum_j c_j A_j (x) B_j with N x N
     Grams A_j on u and B_j on v: one term k(u, u') k(v, v') for the Gaussian,
@@ -320,8 +277,17 @@ def _joint_kernel_terms(k: Kernel, u: np.ndarray, v: np.ndarray):
 def _joint_mmd(u, v, scores, kernel: Kernel) -> tuple[float, np.ndarray]:
     """Joint MMD loss and its score gradient from N x N Grams.
 
-    With W = softmax over all N^2 scores, one term c (A (x) B) of the kernel
-    contributes c [sum W o (A W B) - 2 sum W o (A^T B) / N] to the value and
+    The loss is the MMD-squared surrogate between the paired batch
+    z_k = (u_k, v_k) and all N^2 pairings (u_i, v_j), weighted by
+    W = softmax(scores) taken over every entry of the N x N scores, with
+    scores[i][j] that of (u_i, v_j):
+    -2 sum_ij W_ij mean_k k(z_k, (u_i, v_j))
+    + sum_{ij, i'j'} W_ij W_i'j' k((u_i, v_j), (u_i', v_j')).
+    The z-z self term is weight-free and dropped. All -inf scores leave W
+    undefined and raise ValueError.
+
+    One term c (A (x) B) of the kernel contributes
+    c [sum W o (A W B) - 2 sum W o (A^T B) / N] to the value and
     2c (A W B - A^T B / N) to the gradient with respect to W.
     """
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
@@ -331,10 +297,12 @@ def _joint_mmd(u, v, scores, kernel: Kernel) -> tuple[float, np.ndarray]:
         raise ValueError("paired batches must have equal length")
     if n < 2:
         raise ValueError("need a paired batch of at least 2")
-    arr = _scores(scores)
+    arr = np.asarray(scores, dtype=np.float64)
     if arr.shape != (n, n):
         raise ValueError(f"one score per pairing (u_i, v_j) required, got {arr.shape}")
-    w = joint_mmd_weights(arr)
+    if np.all(np.isneginf(arr)):
+        raise ValueError("degenerate weights: all scores are -inf")
+    w = _axis_lse_softmax(arr, None)[1]
     value = 0.0
     dw = np.zeros((n, n))
     for c, a, b in _joint_kernel_terms(kernel, u, v):
@@ -343,17 +311,6 @@ def _joint_mmd(u, v, scores, kernel: Kernel) -> tuple[float, np.ndarray]:
         value += c * float(np.sum(w * awb) - 2.0 * np.sum(w * cross))
         dw += 2.0 * c * (awb - cross)
     return value, w * (dw - float(np.sum(dw * w)))
-
-
-def loss_joint_mmd(u, v, scores, kernel: Kernel) -> float:
-    """MMD-squared surrogate between the paired batch z_k = (u_k, v_k) and
-    all N^2 pairings (u_i, v_j), weighted by W = softmax(scores) taken over
-    every entry of the N x N scores, with scores[i][j] that of (u_i, v_j):
-    -2 sum_ij W_ij mean_k k(z_k, (u_i, v_j))
-    + sum_{ij, i'j'} W_ij W_i'j' k((u_i, v_j), (u_i', v_j')).
-    The z-z self term is weight-free and dropped.
-    """
-    return _joint_mmd(u, v, scores, kernel)[0]
 
 
 def loss_value_and_grad(kind: LossKind, s, u_batch=None, v_batch=None):

@@ -6,7 +6,7 @@ config seed, batches are consecutive slices of the shuffled index list, and
 each step backpropagates the chosen loss through the tilting scores into
 both encoders. Each side runs its forward pass once per step
 (encoders.encode_with_vjp) and its gradient reuses that pass. Specs without
-trainable parameters (one_hot, frozen_table) pass through untouched.
+trainable parameters (frozen_table) pass through untouched.
 
 adam_step is the package's one Adam update and train its one loop;
 fine-tuning a label head is a train call (see crossmodal). adam_step keeps

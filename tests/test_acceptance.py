@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 from scipy.special import logsumexp, softmax
 
 from tiltlab import cli, crossmodal, datagen, encoders, gaussian, losses, training
@@ -243,21 +244,11 @@ def _gradient_check_case(family, rng):
         bu = rng.split(0).standard_normal((n, 3))
         bv = rng.split(1).standard_normal((n, 4))
         pu, pv = init_params(spec_u, rng.split(2)), init_params(spec_v, rng.split(3))
-    elif family == "affine":
-        spec_u, spec_v = encoders.affine_spec(3, 2), encoders.affine_spec(4, 2)
-        bu = rng.split(0).standard_normal((n, 3))
-        bv = rng.split(1).standard_normal((n, 4))
-        pu, pv = init_params(spec_u, rng.split(2)), init_params(spec_v, rng.split(3))
     elif family == "mlp":
         spec_u = encoders.mlp_spec([3, 5, 2], activation="tanh")
         spec_v = encoders.mlp_spec([4, 5, 2], activation="tanh")
         bu = rng.split(0).standard_normal((n, 3))
         bv = rng.split(1).standard_normal((n, 4))
-        pu, pv = init_params(spec_u, rng.split(2)), init_params(spec_v, rng.split(3))
-    elif family == "one_hot":
-        spec_u, spec_v = encoders.one_hot_spec(4), encoders.linear_spec(3, 4)
-        bu = rng.split(0).integers(0, 4, (n, 1)).astype(np.float64)
-        bv = rng.split(1).standard_normal((n, 3))
         pu, pv = init_params(spec_u, rng.split(2)), init_params(spec_v, rng.split(3))
     else:
         spec_u, spec_v = encoders.frozen_table_spec(8, 2), encoders.linear_spec(3, 2)
@@ -282,8 +273,11 @@ def test_criterion_08_chain_gradients_match_finite_differences():
     )
     tau, step = 0.7, 1e-5
     worst, worst_at = 0.0, ""
-    for f_i, family in enumerate(encoders.FAMILIES):
-        rng = SeededRng(808).split(f_i)
+    # each family keeps the stream it had when the grid also held affine
+    # (index 1) and one_hot (index 3), so no case's draws moved
+    streams = {"linear": 0, "mlp": 2, "frozen_table": 4}
+    for family in encoders.FAMILIES:
+        rng = SeededRng(808).split(streams[family])
         spec_u, pu, spec_v, pv, bu, bv = _gradient_check_case(family, rng)
         k_u = pu.theta.size
         theta0 = np.concatenate([pu.theta, pv.theta])
@@ -317,7 +311,7 @@ def test_criterion_08_chain_gradients_match_finite_differences():
     dt = time.perf_counter() - t0
     ok = worst <= 1e-5 and dt < 30.0
     assert _report(
-        8, ok, f"worst rel err {worst:.2e} at {worst_at} (5x2x5 grid, 20 probes each); {dt:.1f} s"
+        8, ok, f"worst rel err {worst:.2e} at {worst_at} (3x2x5 grid, 20 probes each); {dt:.1f} s"
     )
 
 
@@ -353,13 +347,14 @@ def _mnist_dir():
 
 
 def test_criterion_10_classification_is_cross_entropy(tmp_path):
-    # the (2, 0) conditional loss with one-hot labels on one side is plain
-    # multiclass cross-entropy with the batch label prior baked in
+    # the (2, 0) conditional loss with one-hot labels (the identity table)
+    # on one side is plain multiclass cross-entropy with the batch label
+    # prior baked in
     t0 = time.perf_counter()
     rng = SeededRng(1010)
-    spec_u = encoders.one_hot_spec(10)
+    spec_u = encoders.frozen_table_spec(10, 10)
     spec_v = encoders.mlp_spec([5, 8, 10], activation="relu")
-    pu = init_params(spec_u, rng.split(0))
+    pu = encoders.params_from_table(spec_u, np.eye(10))
     worst = 0.0
     for batch in range(20):
         r = rng.split(1, batch)
@@ -510,8 +505,9 @@ def test_criterion_13_mmd_zero_and_separation():
         x = r.split(0).standard_normal((500, 1))
         far = r.split(1).standard_normal((500, 1)) + 5.0
         near = r.split(2).standard_normal((500, 1))
-        k_far = Kernel("gaussian", bandwidth=losses.median_heuristic_bandwidth(x, far))
-        k_near = Kernel("gaussian", bandwidth=losses.median_heuristic_bandwidth(x, near))
+        # median heuristic: the median pairwise distance of the pooled sample
+        k_far = Kernel("gaussian", bandwidth=np.median(pdist(np.vstack([x, far]))))
+        k_near = Kernel("gaussian", bandwidth=np.median(pdist(np.vstack([x, near]))))
         d_far = losses.mmd_unbiased(x, far, k_far)
         d_near = losses.mmd_unbiased(x, near, k_near)
         separated += d_far > d_near

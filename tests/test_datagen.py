@@ -74,6 +74,32 @@ class TestBlockGaussianSampling:
         np.testing.assert_array_equal(a.v, b.v)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 549])
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda n, rng: gp_modality_pair(GpConfig(), n, rng),
+        lambda n, rng: sample_block_gaussian(
+            gaussian.BlockGaussian(
+                [[2.0, 0.3], [0.3, 1.0]],
+                [[0.5, 0.2, 0.1], [0.1, -0.4, 0.2]],
+                [[1.0, 0.0, 0.2], [0.0, 1.5, 0.1], [0.2, 0.1, 1.2]],
+            ),
+            n,
+            rng,
+        ),
+    ],
+    ids=["gp_modality_pair", "sample_block_gaussian"],
+)
+def test_short_draw_is_the_head_of_a_long_one(sample, n):
+    # both samplers read one stream in row order; a one-row draw once took
+    # numpy's one-row BLAS path and differed in the last bits
+    long = sample(4000, SeededRng(3))
+    short = sample(n, SeededRng(3))
+    np.testing.assert_array_equal(short.u, long.u[:n])
+    np.testing.assert_array_equal(short.v, long.v[:n])
+
+
 class TestGpModality:
     def test_grid_is_uniform_interior(self):
         cfg = GpConfig()
@@ -126,16 +152,18 @@ class TestGpModality:
 
     @pytest.mark.parametrize("n", [1, 549])
     def test_draw_matches_stream_order_reference(self, n):
-        # the reference draws the whole (n, n_coeffs + grid_points) block
-        # and maps it through [phi_head, L] in plain numpy
+        # the reference draws the (n + 1, n_coeffs + grid_points) block and
+        # maps it through [phi_head, L] in plain numpy; one row more keeps
+        # its product off numpy's one-row BLAS path, whose bits differ
         cfg = GpConfig()
-        xi = SeededRng(5).standard_normal((n, cfg.n_coeffs + cfg.grid_points))
+        xi = SeededRng(5).standard_normal((n + 1, cfg.n_coeffs + cfg.grid_points))
         phi = gp_design_matrix(cfg)
         tail = phi[:, cfg.n_coeffs :]
         chol = np.linalg.cholesky(tail @ tail.T + cfg.noise_sigma**2 * np.eye(cfg.grid_points))
         ds = gp_modality_pair(cfg, n, SeededRng(5))
-        np.testing.assert_array_equal(ds.v, xi[:, : cfg.n_coeffs])
-        np.testing.assert_array_equal(ds.u, xi @ np.hstack([phi[:, : cfg.n_coeffs], chol]).T)
+        np.testing.assert_array_equal(ds.v, xi[:n, : cfg.n_coeffs])
+        u = xi @ np.hstack([phi[:, : cfg.n_coeffs], chol]).T
+        np.testing.assert_array_equal(ds.u, u[:n])
 
     def test_draw_never_holds_all_coefficients(self):
         # the whole 20000 x 1000 draw alone would take 160 MB

@@ -11,14 +11,12 @@ from tiltlab import encoders
 from tiltlab.encoders import (
     EncoderParams,
     EncoderSpec,
-    affine_spec,
     encode,
     encode_vjp,
     frozen_table_spec,
     init_params,
     linear_spec,
     mlp_spec,
-    one_hot_spec,
     params_from_table,
     similarity_matrix,
     similarity_vjp,
@@ -52,31 +50,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EncoderSpec("linear", (3,))
         with pytest.raises(ValueError):
-            EncoderSpec("one_hot", (3, 2))
+            EncoderSpec("frozen_table", (3,))
         with pytest.raises(ValueError):
             EncoderSpec("mlp", (3,), activation="relu")
+        # one_hot is the identity frozen_table and affine the one-layer mlp
+        for family in ("one_hot", "affine"):
+            with pytest.raises(ValueError, match="unknown encoder family"):
+                EncoderSpec(family, (3, 2))
 
     def test_inout_sizes(self):
         assert linear_spec(7, 3).n_in == 7
         assert linear_spec(7, 3).n_e == 3
         assert mlp_spec([5, 8, 2], "tanh").n_e == 2
-        assert one_hot_spec(10).n_in == 1
-        assert one_hot_spec(10).n_e == 10
         assert frozen_table_spec(50, 4).n_in == 1
         assert frozen_table_spec(50, 4).n_e == 4
 
     def test_trainable_flags(self):
         assert linear_spec(2, 2).trainable
-        assert affine_spec(2, 2).trainable
         assert mlp_spec([2, 2], "relu").trainable
-        assert not one_hot_spec(4).trainable
         assert not frozen_table_spec(4, 2).trainable
 
     def test_param_counts(self):
         assert linear_spec(3, 2).n_params() == 6
-        assert affine_spec(3, 2).n_params() == 8
+        assert mlp_spec([3, 2], "relu").n_params() == 8
         assert mlp_spec([3, 5, 2], "relu").n_params() == (15 + 5) + (10 + 2)
-        assert one_hot_spec(9).n_params() == 0
         assert frozen_table_spec(6, 4).n_params() == 24
 
 
@@ -92,7 +89,7 @@ class TestParams:
             EncoderParams(np.array([1.0, np.nan]), spec.shape_table())
 
     def test_unflatten_layout(self):
-        spec = affine_spec(2, 2)
+        spec = mlp_spec([2, 2], "relu")
         theta = np.arange(6.0)
         weights = EncoderParams(theta, spec.shape_table()).unflatten()
         np.testing.assert_array_equal(weights["w0"], [[0.0, 1.0], [2.0, 3.0]])
@@ -108,14 +105,10 @@ class TestParams:
         assert np.max(np.abs(weights["b1"])) <= 0.5
 
     def test_init_deterministic(self):
-        spec = affine_spec(5, 3)
+        spec = mlp_spec([5, 3], "relu")
         a = init_params(spec, SeededRng(7))
         b = init_params(spec, SeededRng(7))
         np.testing.assert_array_equal(a.theta, b.theta)
-
-    def test_one_hot_init_empty(self):
-        params = init_params(one_hot_spec(6), SeededRng(1))
-        assert params.theta.size == 0
 
     def test_frozen_table_init_refused(self):
         with pytest.raises(ValueError):
@@ -140,8 +133,8 @@ class TestForward:
         want = batch @ params.unflatten()["w0"].T
         np.testing.assert_allclose(encode(spec, params, batch), want, atol=1e-14)
 
-    def test_affine_oracle(self):
-        spec = affine_spec(4, 3)
+    def test_one_layer_mlp_oracle(self):
+        spec = mlp_spec([4, 3], "relu")
         params = init_params(spec, SeededRng(12))
         batch = SeededRng(13).standard_normal((5, 4))
         w = params.unflatten()
@@ -163,25 +156,27 @@ class TestForward:
                 x = z
         np.testing.assert_allclose(encode(spec, params, batch), x, atol=1e-13)
 
-    def test_one_hot(self):
-        spec = one_hot_spec(4)
-        params = init_params(spec, SeededRng(16))
+    def test_identity_table_is_one_hot(self):
+        spec = frozen_table_spec(4, 4)
+        params = params_from_table(spec, np.eye(4))
         out = encode(spec, params, np.array([2, 0, 3], dtype=np.float64))
         want = np.zeros((3, 4))
         want[0, 2] = want[1, 0] = want[2, 3] = 1.0
         np.testing.assert_array_equal(out, want)
 
-    def test_one_hot_fractional_index(self):
-        spec = one_hot_spec(4)
-        params = init_params(spec, SeededRng(17))
-        with pytest.raises(ValueError):
+    def test_frozen_table_fractional_index(self):
+        spec = frozen_table_spec(4, 4)
+        params = params_from_table(spec, np.eye(4))
+        with pytest.raises(ValueError, match="integral indices"):
             encode(spec, params, np.array([1.5]))
 
-    def test_one_hot_out_of_range(self):
-        spec = one_hot_spec(4)
-        params = init_params(spec, SeededRng(18))
-        with pytest.raises(ValueError):
+    def test_frozen_table_out_of_range(self):
+        spec = frozen_table_spec(4, 4)
+        params = params_from_table(spec, np.eye(4))
+        with pytest.raises(ValueError, match="out of range"):
             encode(spec, params, np.array([4.0]))
+        with pytest.raises(ValueError, match="out of range"):
+            encode(spec, params, np.array([-1.0]))
 
     def test_frozen_table_lookup(self):
         spec = frozen_table_spec(5, 3)
@@ -211,7 +206,7 @@ class TestForward:
 
     def test_params_spec_mismatch(self):
         spec = linear_spec(3, 2)
-        other = init_params(affine_spec(3, 2), SeededRng(23))
+        other = init_params(mlp_spec([3, 2], "relu"), SeededRng(23))
         with pytest.raises(ValueError):
             encode(spec, other, np.zeros((1, 3)))
 
@@ -253,8 +248,8 @@ class TestVjp:
         fd_vjp_check(spec, params, batch, seed=32)
 
     @pytest.mark.parametrize("normalized", [False, True])
-    def test_affine(self, normalized):
-        spec = affine_spec(2, 3, normalized=normalized)
+    def test_one_layer_mlp(self, normalized):
+        spec = mlp_spec([2, 3], "relu", normalized=normalized)
         params = init_params(spec, SeededRng(33))
         batch = SeededRng(34).standard_normal((5, 2))
         fd_vjp_check(spec, params, batch, seed=35)
@@ -266,12 +261,6 @@ class TestVjp:
         params = init_params(spec, SeededRng(36))
         batch = SeededRng(37).standard_normal((6, 3))
         fd_vjp_check(spec, params, batch, seed=38)
-
-    def test_one_hot_empty_gradient(self):
-        spec = one_hot_spec(5)
-        params = init_params(spec, SeededRng(39))
-        grad = encode_vjp(spec, params, np.array([1.0, 4.0]), np.ones((2, 5)))
-        assert grad.size == 0
 
     def test_frozen_table_scatter(self):
         # repeated indices must accumulate, matching the FD gradient
@@ -303,36 +292,40 @@ class TestVjp:
             encode_vjp(spec, params, np.zeros((4, 2)), np.zeros((4, 2)))
 
 
-def linear_affine_reference(spec, params, batch, cot):
-    """The linear/affine forward and pullback as separate branches, written
-    out as they stood before the dense chain took them over."""
+def one_layer_reference(spec, params, batch, cot):
+    """The one-layer forward and pullback (linear, and the one-layer mlp with
+    its bias) as separate branches, written out as they stood before the
+    dense chain took them over."""
     w = params.unflatten()
     out = batch @ w["w0"].T
-    if spec.family == "affine":
+    if "b0" in w:
         out = out + w["b0"]
     if spec.normalized:
         norms = np.linalg.norm(out, axis=1)
         out = out / norms[:, None]
         cot = (cot - out * np.sum(cot * out, axis=1, keepdims=True)) / norms[:, None]
     grads = {"w0": cot.T @ batch}
-    if spec.family == "affine":
+    if "b0" in w:
         grads["b0"] = cot.sum(axis=0)
     return out, np.concatenate([grads[name].ravel() for name, _ in spec.shape_table()])
 
 
 class TestDenseChain:
-    @pytest.mark.parametrize("make", [linear_spec, affine_spec])
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
     @pytest.mark.parametrize("normalized", [False, True])
     @pytest.mark.parametrize("n_in, n_e, rows", [(3, 2, 6), (1, 4, 9), (18, 5, 64)])
-    def test_linear_and_affine_match_their_own_branches_bitwise(
-        self, make, normalized, n_in, n_e, rows
+    def test_linear_and_one_layer_mlp_match_their_own_branches_bitwise(
+        self, family, normalized, n_in, n_e, rows
     ):
-        spec = make(n_in, n_e, normalized=normalized)
+        if family == "linear":
+            spec = linear_spec(n_in, n_e, normalized=normalized)
+        else:
+            spec = mlp_spec([n_in, n_e], "relu", normalized=normalized)
         params = init_params(spec, SeededRng(60).split(n_in))
         batch = SeededRng(61).split(n_in).standard_normal((rows, n_in))
         cot = SeededRng(62).split(n_in).standard_normal((rows, n_e))
         e, vjp = encoders.encode_with_vjp(spec, params, batch)
-        want_e, want_grad = linear_affine_reference(spec, params, batch, cot)
+        want_e, want_grad = one_layer_reference(spec, params, batch, cot)
         assert np.array_equal(e, want_e)
         assert np.array_equal(vjp(cot), want_grad)
 

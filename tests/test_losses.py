@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import softmax
+from scipy.special import logsumexp, softmax
 
 from tiltlab import losses
 from tiltlab.encoders import similarity_matrix, similarity_vjp
@@ -109,23 +109,29 @@ class TestClipAndCond:
             losses.loss_cond(np.zeros((1, 1)), 1.0, 1.0)
 
 
+def joint_value(s):
+    return losses.loss_value_and_grad(LossKind("joint"), s)[0]
+
+
 class TestJoint:
+    # positives on the diagonal of s, every entry of s a negative
+
     def test_hand_value(self):
-        # -mean([1, 2]) + log(sum exp 0 over 4) - log 4 = -1.5
-        val = losses.loss_joint([1.0, 2.0], np.zeros((2, 2)))
-        assert abs(val + 1.5) < 1e-14
+        # -mean(ln 3, ln 3) + log(sum exp over [[ln 3, 0], [0, ln 3]]) - log 4
+        # = -ln 3 + ln 8 - ln 4 = ln(2/3)
+        val = joint_value(np.array([[np.log(3.0), 0.0], [0.0, np.log(3.0)]]))
+        assert abs(val - np.log(2.0 / 3.0)) < 1e-14
 
     def test_zero_scores(self):
-        assert abs(losses.loss_joint(np.zeros(3), np.zeros((3, 3)))) < 1e-14
+        assert abs(joint_value(np.zeros((3, 3)))) < 1e-14
 
     def test_grad_matches_fd(self):
-        # the training form: positives on the diagonal of s, every entry a negative
         rng = SeededRng(8)
         s = rng.split(1).standard_normal((4, 4))
         g = score_grad(LossKind("joint"), s)
 
         def value_at(t):
-            return losses.loss_joint(np.diag(t), t)
+            return logsumexp(t) - np.log(t.size) - np.mean(np.diag(t))
 
         step = 1e-6
         for probe in range(4):
@@ -136,7 +142,7 @@ class TestJoint:
 
     def test_needs_two_positives(self):
         with pytest.raises(ValueError):
-            losses.loss_joint([1.0], np.zeros((2, 2)))
+            joint_value(np.zeros((1, 1)))
 
 
 class TestKernels:
@@ -190,18 +196,6 @@ class TestKernels:
             Kernel("gaussian", bandwidth=0.0)
         with pytest.raises(ValueError):
             Kernel("polynomial", degree=0)
-
-    def test_median_heuristic_hand_value(self):
-        # pairwise distances of {0, 1, 3}: 1, 3, 2 -> median 2
-        assert losses.median_heuristic_bandwidth(np.array([[0.0], [1.0], [3.0]])) == 2.0
-
-    def test_median_heuristic_degenerate(self):
-        assert losses.median_heuristic_bandwidth(np.zeros((4, 2))) == 1.0
-
-    def test_median_heuristic_pools_both_samples(self):
-        x = np.array([[0.0]])
-        y = np.array([[2.0]])
-        assert losses.median_heuristic_bandwidth(x, y) == 2.0
 
 
 class TestMmdUnbiased:
@@ -262,15 +256,15 @@ class TestCondMmd:
         k_u = losses.kernel_gram(Kernel("gaussian"), x)
         w = softmax(s, axis=0)
         want = 1.0 * cond_mmd_side_loop(k_u, w)
-        got = losses.cond_mmd_from_grams(s, k_u, np.eye(4), 1.0, 0.0)
+        got = losses._cond_mmd(s, k_u, np.eye(4), 1.0, 0.0)[0]
         assert abs(got - want) < 1e-12
 
     def test_v_side_mirrors_u_side(self):
         rng = SeededRng(16)
         s = rng.split(0).standard_normal((5, 5))
         k = losses.kernel_gram(Kernel("gaussian"), rng.split(1).standard_normal((5, 2)))
-        u_side = losses.cond_mmd_from_grams(s, k, np.eye(5), 1.0, 0.0)
-        v_side = losses.cond_mmd_from_grams(s.T, np.eye(5), k, 0.0, 1.0)
+        u_side = losses._cond_mmd(s, k, np.eye(5), 1.0, 0.0)[0]
+        v_side = losses._cond_mmd(s.T, np.eye(5), k, 0.0, 1.0)[0]
         assert abs(u_side - v_side) < 1e-13
 
     def test_uniform_weights_reduce_to_unbiased_means(self):
@@ -283,7 +277,7 @@ class TestCondMmd:
             n = m.shape[0]
             return (m.sum() - np.trace(m)) / (n * (n - 1))
 
-        got = losses.cond_mmd_from_grams(np.zeros((6, 6)), k_u, k_v, 1.0, 1.0)
+        got = losses._cond_mmd(np.zeros((6, 6)), k_u, k_v, 1.0, 1.0)[0]
         want = -0.5 * (offdiag_mean(k_u) + offdiag_mean(k_v))
         assert abs(got - want) < 1e-13
 
@@ -297,8 +291,8 @@ class TestCondMmd:
         for probe in range(5):
             d = rng.split(3, probe).standard_normal(s.shape)
             fd = (
-                losses.cond_mmd_from_grams(s + step * d, k_u, k_v, 0.8, 1.4)
-                - losses.cond_mmd_from_grams(s - step * d, k_u, k_v, 0.8, 1.4)
+                losses._cond_mmd(s + step * d, k_u, k_v, 0.8, 1.4)[0]
+                - losses._cond_mmd(s - step * d, k_u, k_v, 0.8, 1.4)[0]
             ) / (2 * step)
             an = float(np.sum(g * d))
             assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-8)
@@ -360,7 +354,7 @@ class TestJointMmd:
             want += -2.0 * w[i, j] * np.mean([kval(z[m], zt) for m in range(3)])
             for ip, jp in pairs:
                 want += w[i, j] * w[ip, jp] * kval(zt, np.concatenate([u[ip], v[jp]]))
-        got = losses.loss_joint_mmd(u, v, scores, k)
+        got = losses._joint_mmd(u, v, scores, k)[0]
         assert abs(got - want) < 1e-12
 
     @pytest.mark.parametrize("dims", [(1, 1), (2, 3)])
@@ -386,14 +380,14 @@ class TestJointMmd:
         for probe in range(5):
             d = rng.split(3, probe).standard_normal((n, n))
             fd = (
-                losses.loss_joint_mmd(u, v, scores + step * d, kernel)
-                - losses.loss_joint_mmd(u, v, scores - step * d, kernel)
+                losses._joint_mmd(u, v, scores + step * d, kernel)[0]
+                - losses._joint_mmd(u, v, scores - step * d, kernel)[0]
             ) / (2 * step)
             an = float(np.sum(g * d))
             assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-8)
 
     def test_grad_matches_fd(self):
-        # default Gaussian kernel: bandwidth from the median heuristic
+        # default Gaussian kernel, bandwidth 1
         self._check_grad_fd(SeededRng(21), 3, (1, 1), Kernel("gaussian"))
 
     @pytest.mark.parametrize("kernel", JOINT_KERNELS, ids=lambda k: f"{k.family}-{k.degree}")
@@ -416,12 +410,14 @@ class TestJointMmd:
         assert peak < 5 * 2**20
 
     def test_weights_reject_all_neginf(self):
-        with pytest.raises(ValueError):
-            losses.joint_mmd_weights(np.full(4, -np.inf))
+        kind = LossKind("joint_mmd", kernel=Kernel("gaussian"))
+        u = np.zeros((4, 1))
+        with pytest.raises(ValueError, match="all scores are -inf"):
+            losses.loss_value_and_grad(kind, np.full((4, 4), -np.inf), u, u)
 
     def test_score_count_must_match(self):
         with pytest.raises(ValueError, match="one score per pairing"):
-            losses.loss_joint_mmd(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((3, 3)), Kernel("gaussian"))
+            losses._joint_mmd(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((3, 3)), Kernel("gaussian"))
 
 
 class TestProductBatch:
@@ -439,7 +435,7 @@ class TestProductBatch:
         with pytest.raises(ValueError):
             product_batch(np.zeros((2, 1)), np.zeros((3, 1)))
         with pytest.raises(ValueError, match="equal length"):
-            losses.loss_joint_mmd(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 2)), Kernel("gaussian"))
+            losses._joint_mmd(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 2)), Kernel("gaussian"))
 
 
 class TestLossKind:
@@ -477,8 +473,8 @@ class TestDispatch:
         assert self.value_of(kind) == losses.loss_cond(self.s, 0.5, 1.5)
 
     def test_joint_uses_all_pairings_as_negatives(self):
-        want = losses.loss_joint(np.diag(self.s), self.s)
-        assert self.value_of(LossKind("joint")) == want
+        want = logsumexp(self.s) - np.log(self.s.size) - np.mean(np.diag(self.s))
+        assert abs(self.value_of(LossKind("joint")) - want) < 1e-14
 
     def test_mmd_variants_need_batches(self):
         kind = LossKind("cond_mmd", kernel=Kernel("gaussian"))
@@ -488,13 +484,13 @@ class TestDispatch:
     def test_cond_mmd_value(self):
         k = Kernel("gaussian", bandwidth=0.8)
         kind = LossKind("cond_mmd", 1.0, 1.0, kernel=k)
-        want = losses.cond_mmd_from_grams(
+        want = losses._cond_mmd(
             self.s,
             losses.kernel_gram(k, self.u_batch),
             losses.kernel_gram(k, self.v_batch),
             1.0,
             1.0,
-        )
+        )[0]
         assert self.value_of(kind) == want
 
     @pytest.mark.parametrize("lams, sides", [((1.0, 0.0), 1), ((0.0, 2.0), 1), ((1.0, 1.0), 2)])
@@ -519,7 +515,7 @@ class TestDispatch:
     def test_joint_mmd_value(self):
         k = Kernel("gaussian", bandwidth=1.5)
         kind = LossKind("joint_mmd", kernel=k)
-        want = losses.loss_joint_mmd(self.u_batch, self.v_batch, self.s, k)
+        want = losses._joint_mmd(self.u_batch, self.v_batch, self.s, k)[0]
         assert self.value_of(kind) == want
 
     @pytest.mark.parametrize(

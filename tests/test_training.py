@@ -420,12 +420,12 @@ class TestTrainLoop:
         assert out1[2].losses == out2[2].losses
 
     def test_frozen_table_untouched(self):
-        # one_hot u side and frozen_table v side: training must be a no-op
-        # on both parameter vectors while still computing losses
+        # identity-table u side and frozen_table v side: training must be a
+        # no-op on both parameter vectors while still computing losses
         rows = SeededRng(4).standard_normal((16, 3))
-        spec_u = encoders.one_hot_spec(3)
+        spec_u = encoders.frozen_table_spec(3, 3)
         spec_v = encoders.frozen_table_spec(16, 3)
-        pu = encoders.init_params(spec_u, SeededRng(5))
+        pu = encoders.params_from_table(spec_u, np.eye(3))
         pv = encoders.params_from_table(spec_v, rows)
 
         class Data:
@@ -434,8 +434,8 @@ class TestTrainLoop:
 
         cfg = small_config(epochs=2, batch_size=8)
         out_u, out_v, hist = train(cfg, Data(), spec_u, spec_v, pu, pv)
+        np.testing.assert_array_equal(out_u.theta, pu.theta)
         np.testing.assert_array_equal(out_v.theta, pv.theta)
-        assert out_u.theta.size == 0
         assert len(hist.losses) == 2
 
     def test_probe_called_each_epoch(self):
